@@ -6,14 +6,13 @@ pooling, and a classifier, end to end on its own reverse-mode tape.
 """
 
 from .adjacency import (LearnableAdjacency, StructureMatrix, effective_adjacency,
-                        fixed_adjacency, init_learnable_adjacency, neighbor_mask,
-                        renormalized_adjacency, structure_matrix)
+                        fixed_adjacency, neighbor_mask, renormalized_adjacency,
+                        structure_matrix)
 from .autodiff import GradTape, Tensor, backward
 from .data import (GraphDataset, SequenceSample, SynthSpec, cv_split,
                    load_dataset, pad_or_truncate, save_dataset, synth_generate)
 from .model import (LGrinModel, ModelConfig, build_baseline_gcn, build_lgrin,
-                    closed_form_parameter_count, forward, forward_batch,
-                    forward_shared, load_checkpoint, node_embeddings,
+                    closed_form_parameter_count, forward_shared, load_checkpoint,
                     parameter_count, salient_node, save_checkpoint)
 from .objective import (LossWeights, classification_loss, graph_learning_loss,
                         total_loss)
@@ -29,11 +28,10 @@ __all__ = [
     "SynthSpec", "Tensor", "TrainConfig", "TrainReport", "adam_step",
     "backward", "build_baseline_gcn", "build_lgrin", "classification_loss",
     "closed_form_parameter_count", "cv_split", "effective_adjacency",
-    "evaluate", "fine_tune_head", "fixed_adjacency", "forward",
-    "forward_batch", "forward_shared", "grad_check", "grad_check_random",
-    "graph_learning_loss", "init_learnable_adjacency", "load_checkpoint",
-    "load_dataset", "lr_at_epoch", "neighbor_mask", "node_embeddings",
-    "pad_or_truncate", "parameter_count",
+    "evaluate", "fine_tune_head", "fixed_adjacency", "forward_shared",
+    "grad_check", "grad_check_random", "graph_learning_loss", "load_checkpoint",
+    "load_dataset", "lr_at_epoch", "neighbor_mask", "pad_or_truncate",
+    "parameter_count",
     "renormalized_adjacency", "salient_node", "save_checkpoint",
     "save_dataset", "structure_matrix", "synth_generate", "total_loss",
     "train",

@@ -11,6 +11,7 @@ graph learning loss.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,29 +27,12 @@ class LearnableAdjacency:
 
     raw: Tensor
 
-    @property
-    def m(self) -> int:
-        return self.raw.shape[0]
-
 
 @dataclass(frozen=True)
 class StructureMatrix:
     """Fixed matrix with entry (i, j) = (i - j)^2, 0-based indices."""
 
     values: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-
-def init_learnable_adjacency(m: int, seed: int) -> LearnableAdjacency:
-    """Raw entries i.i.d. Normal(0, 1) from a generator seeded with `seed`."""
-    if m < 2:
-        raise ConfigError(f"adjacency needs at least 2 nodes, got {m}")
-    rng = np.random.default_rng(seed)
-    return LearnableAdjacency(ad.parameter(rng.standard_normal((m, m)),
-                                           name="adjacency.raw"))
 
 
 def effective_adjacency(adj: LearnableAdjacency) -> Tensor:
@@ -101,12 +85,20 @@ def renormalized_adjacency(a: Tensor) -> Tensor:
     return ad.constant(inv_sqrt[:, None] * with_self * inv_sqrt[None, :])
 
 
+@functools.lru_cache(maxsize=None)
 def structure_matrix(m: int) -> StructureMatrix:
-    """Quadratic temporal-distance penalty matrix."""
+    """Quadratic temporal-distance penalty matrix, built once per m.
+
+    The graph loss asks for it on every training step; reusing one
+    read-only array keeps those steps from allocating a fresh M x M
+    matrix each time.
+    """
     if m < 1:
         raise ConfigError(f"node count must be positive, got {m}")
     idx = np.arange(m, dtype=np.float64)
-    return StructureMatrix((idx[:, None] - idx[None, :]) ** 2)
+    values = (idx[:, None] - idx[None, :]) ** 2
+    values.flags.writeable = False
+    return StructureMatrix(values)
 
 
 def neighbor_mask(a_eff: Tensor, threshold: float = 0.0) -> np.ndarray:

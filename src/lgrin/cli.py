@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -28,16 +29,25 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 _TOP_KEYS = {"model", "train", "data", "output_dir"}
-_MODEL_KEYS = {"m", "p", "c", "inception_layers", "etas", "adjacency_mode",
-               "pooling_mode", "mask_threshold", "seed", "arch"}
-_TRAIN_KEYS = {"epochs", "lr0", "decay", "decay_every", "batch_size", "seed",
-               "beta1", "beta2", "epsilon", "loss_weights"}
+_MODEL_KEYS = _field_names(mm.ModelConfig) | {"arch"}
+_TRAIN_KEYS = _field_names(tr.TrainConfig)
+_LOSS_WEIGHT_KEYS = _field_names(LossWeights)
 _DATA_KEYS = {"manifest", "synth"}
-_SYNTH_KEYS = {"num_classes", "per_class", "m", "p", "noise", "seed", "name"}
+_SYNTH_KEYS = _field_names(SynthSpec)
+_ABLATE_COLUMNS = ("adjacency_mode", "pooling_mode", "etas", "layers",
+                   "lambda1", "lambda2", "lambda3", "accuracy",
+                   "parameter_count", "model_seed", "train_seed")
 
 
 def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -52,8 +62,6 @@ def load_run_config(path: str | Path) -> dict:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, str(path))
     if "model" not in doc:
         raise ConfigError(f"{path}: missing required 'model' section")
@@ -61,8 +69,7 @@ def load_run_config(path: str | Path) -> dict:
     if "train" in doc:
         _reject_unknown(doc["train"], _TRAIN_KEYS, f"{path} train section")
         if isinstance(doc["train"].get("loss_weights"), dict):
-            _reject_unknown(doc["train"]["loss_weights"],
-                            {"lambda1", "lambda2", "lambda3"},
+            _reject_unknown(doc["train"]["loss_weights"], _LOSS_WEIGHT_KEYS,
                             f"{path} loss_weights")
     if "data" in doc:
         _reject_unknown(doc["data"], _DATA_KEYS, f"{path} data section")
@@ -100,21 +107,20 @@ def _require(doc: dict, key: str):
 
 
 def model_config_from_section(section: dict) -> tuple[mm.ModelConfig, str]:
+    _reject_unknown(section, _MODEL_KEYS, "model section")
     section = dict(section)
     arch = section.pop("arch", "lgrin")
-    if arch not in ("lgrin", "baseline_gcn"):
+    if arch not in mm.BUILDERS:
         raise ConfigError(f"unknown arch {arch!r}")
-    if section.get("etas") is not None:
-        section["etas"] = tuple(tuple(e) for e in section["etas"])
     try:
-        return mm.ModelConfig(**section), arch
+        return mm.ModelConfig.from_dict(section), arch
     except TypeError as exc:
         raise ConfigError(f"bad model section: {exc}") from exc
 
 
 def build_model_from_section(section: dict) -> mm.LGrinModel:
     config, arch = model_config_from_section(section)
-    return mm.build_lgrin(config) if arch == "lgrin" else mm.build_baseline_gcn(config)
+    return mm.BUILDERS[arch](config)
 
 
 def train_config_from_section(section: dict) -> tr.TrainConfig:
@@ -192,37 +198,39 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(spec: str) -> dict:
+def _parse_grid(spec: str, axes: dict[str, list]) -> dict[str, list]:
+    """The ablation axes: each list in the grid spec replaces its base axis."""
     if spec.startswith("@"):
         spec = Path(spec[1:]).read_text(encoding="utf-8")
     try:
         grid = json.loads(spec)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"grid spec is not valid JSON: {exc}") from exc
-    allowed = {"adjacency_mode", "pooling_mode", "etas", "layers", "lambdas"}
-    _reject_unknown(grid, allowed, "grid spec")
-    return grid
+    _reject_unknown(grid, set(axes), "grid spec")
+    for key, values in grid.items():
+        if not isinstance(values, list):
+            raise ConfigError(f"grid {key!r} must be a list, got {values!r}")
+    for lam in grid.get("lambdas", []):
+        if not (isinstance(lam, list) and len(lam) == 3
+                and all(isinstance(x, (int, float)) for x in lam)):
+            raise ConfigError(f"each grid lambdas entry must hold 3 numbers, "
+                              f"got {lam!r}")
+    return {**axes, **grid}
 
 
 def cmd_ablate(args) -> int:
     doc = apply_overrides(load_run_config(args.config), args.override)
-    base_model_section = dict(_require(doc, "model"))
+    base_model_section = _require(doc, "model")
+    _reject_unknown(base_model_section, _MODEL_KEYS, "model section")
     base_train = train_config_from_section(_require(doc, "train"))
     ds = dataset_from_section(_require(doc, "data"), doc["_base_dir"])
-    grid = _parse_grid(args.grid)
-
-    adjacency_modes = grid.get("adjacency_mode",
-                               [base_model_section.get("adjacency_mode",
-                                                       "learnable")])
-    pooling_modes = grid.get("pooling_mode",
-                             [base_model_section.get("pooling_mode",
-                                                     "learnable_full")])
-    eta_pairs = grid.get("etas", [None])
-    layer_counts = grid.get("layers",
-                            [base_model_section.get("inception_layers", 2)])
-    lambdas = grid.get("lambdas", [[base_train.loss_weights.lambda1,
-                                    base_train.loss_weights.lambda2,
-                                    base_train.loss_weights.lambda3]])
+    axes = _parse_grid(args.grid, {
+        "adjacency_mode": [base_model_section.get("adjacency_mode", "learnable")],
+        "pooling_mode": [base_model_section.get("pooling_mode", "learnable_full")],
+        "etas": [None],
+        "layers": [base_model_section.get("inception_layers", 2)],
+        "lambdas": [list(dataclasses.astuple(base_train.loss_weights))],
+    })
 
     train_idx, test_idx = cv_split(ds, args.holdout_folds, base_train.seed)[0]
     train_ds = GraphDataset([ds.samples[i] for i in train_idx], ds.num_classes,
@@ -233,50 +241,32 @@ def cmd_ablate(args) -> int:
         int(base_model_section["m"]))
 
     rows = []
-    for adj_mode in adjacency_modes:
-        for pool_mode in pooling_modes:
-            for etas in eta_pairs:
-                for n_layers in layer_counts:
-                    for lam in lambdas:
-                        section = dict(base_model_section)
-                        section["adjacency_mode"] = adj_mode
-                        section["pooling_mode"] = pool_mode
-                        section["inception_layers"] = n_layers
-                        if etas is not None:
-                            section["etas"] = [list(etas)] * n_layers
-                        elif section.get("etas") is not None:
-                            # depth sweep without a filter sweep repeats the
-                            # base config's first filter pair
-                            section["etas"] = [list(section["etas"][0])] * n_layers
-                        model = build_model_from_section(section)
-                        cfg = dataclasses.replace(
-                            base_train,
-                            loss_weights=LossWeights(*[float(x) for x in lam]))
-                        model, _ = tr.train(model, train_ds, cfg)
-                        acc = tr.evaluate(model, test_samples)[
-                            "unweighted_accuracy"]
-                        rows.append({
-                            "adjacency_mode": adj_mode,
-                            "pooling_mode": pool_mode,
-                            "etas": "default" if etas is None
-                                    else f"{etas[0]}x{etas[1]}",
-                            "layers": n_layers,
-                            "lambda1": lam[0], "lambda2": lam[1],
-                            "lambda3": lam[2],
-                            "accuracy": acc,
-                            "parameter_count": mm.parameter_count(model),
-                            "model_seed": section.get("seed", 0),
-                            "train_seed": cfg.seed,
-                        })
+    for adj_mode, pool_mode, etas, n_layers, lam in itertools.product(*axes.values()):
+        section = dict(base_model_section)
+        section["adjacency_mode"] = adj_mode
+        section["pooling_mode"] = pool_mode
+        section["inception_layers"] = n_layers
+        if etas is not None:
+            section["etas"] = [list(etas)] * n_layers
+        elif section.get("etas") is not None:
+            # depth sweep without a filter sweep repeats the base config's
+            # first filter pair
+            section["etas"] = [list(section["etas"][0])] * n_layers
+        model = build_model_from_section(section)
+        cfg = dataclasses.replace(
+            base_train, loss_weights=LossWeights(*[float(x) for x in lam]))
+        model, _ = tr.train(model, train_ds, cfg)
+        acc = tr.evaluate(model, test_samples)["unweighted_accuracy"]
+        # one value per _ABLATE_COLUMNS entry, in that order
+        rows.append((adj_mode, pool_mode,
+                     "default" if etas is None else f"{etas[0]}x{etas[1]}",
+                     n_layers, *lam, acc, mm.parameter_count(model),
+                     section.get("seed", 0), cfg.seed))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    header = ["adjacency_mode", "pooling_mode", "etas", "layers",
-              "lambda1", "lambda2", "lambda3", "accuracy", "parameter_count",
-              "model_seed", "train_seed"]
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[k]) for k in header) + "\n")
+        for row in [_ABLATE_COLUMNS, *rows]:
+            fh.write(",".join(str(v) for v in row) + "\n")
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 

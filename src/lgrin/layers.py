@@ -44,10 +44,6 @@ class MlpParams:
             b2=ad.parameter(np.zeros(eta), name=f"{prefix}.b2"),
         )
 
-    @property
-    def width(self) -> int:
-        return self.w2.shape[1]
-
     def tensors(self) -> list[tuple[str, Tensor]]:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
@@ -76,11 +72,6 @@ class InceptionParams:
             branch1=MlpParams.init(f_in, etas[0], rng, prefix=f"{prefix}.branch1"),
             branch2=MlpParams.init(f_in, etas[1], rng, prefix=f"{prefix}.branch2"),
         )
-
-    @property
-    def out_width_delta(self) -> int:
-        """Added feature width: eta1 + eta2 (the passthrough adds F_in)."""
-        return self.branch1.width + self.branch2.width
 
 
 def inception_layer(h: Tensor, a_eff: Tensor, params: InceptionParams,

@@ -1,11 +1,13 @@
-"""Model assembly, forward passes, parameter accounting, and persistence.
+"""Model assembly, the forward pass, parameter accounting, and persistence.
 
-A model is a parameter registry (adjacency, per-layer MLP branches,
-pooling weights, linear head) plus the architecture config that determines
-how a padded sample flows through it. Two architectures share the same
-container: the full learnable-graph inception network, and the plain GCN
-baseline (two renormalized propagation layers over the binary chain with a
-max|mean readout).
+A model is a parameter registry (adjacency, per-layer parameters, pooling
+weights, linear head) plus its config and architecture name. Two
+architectures share the container: the full learnable-graph inception
+network, and the plain GCN baseline (two renormalized propagation layers
+over the binary chain with a max|mean readout). This is the only module
+that tells them apart: ``BUILDERS`` maps each architecture name to its
+constructor, ``forward_shared`` is the one forward pass for both, and
+``graph_loss`` says which graph-learning terms a model trains.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from . import layers as L
 from .autodiff import Tensor
 from .data import SequenceSample
 from .errors import ConfigError, ContractError, ShapeError
+from .objective import LossWeights, graph_learning_loss
 
 ADJACENCY_MODES = ("learnable", "binary", "weighted")
 BASELINE_GCN_WIDTH = 64
@@ -179,6 +182,9 @@ def build_baseline_gcn(config: ModelConfig) -> LGrinModel:
     return model
 
 
+BUILDERS = {"lgrin": build_lgrin, "baseline_gcn": build_baseline_gcn}
+
+
 def shared_effective_adjacency(model: LGrinModel) -> Tensor | None:
     """The model-level effective adjacency, or None for per-sample modes.
 
@@ -193,40 +199,38 @@ def shared_effective_adjacency(model: LGrinModel) -> Tensor | None:
     return None
 
 
-def _check_sample(model: LGrinModel, sample: SequenceSample) -> None:
+def _shared_graph(model: LGrinModel, samples: list[SequenceSample]
+                  ) -> tuple[Tensor | None, np.ndarray | None]:
+    """Check the samples, then build the shared adjacency and its mask once."""
     m, p = model.config.m, model.config.p
-    if sample.features.shape != (m, p):
-        raise ShapeError(f"sample {sample.id!r} has shape "
-                         f"{sample.features.shape}, model expects ({m}, {p})")
+    for s in samples:
+        if s.features.shape != (m, p):
+            raise ShapeError(f"sample {s.id!r} has shape "
+                             f"{s.features.shape}, model expects ({m}, {p})")
+    a_eff = shared_effective_adjacency(model)
+    mask = None
+    if model.layers and a_eff is not None:  # only inception layers read it
+        mask = adjmod.neighbor_mask(a_eff, model.config.mask_threshold)
+    return a_eff, mask
 
 
-def _lgrin_node_embeddings(model: LGrinModel, features: Tensor, a_eff: Tensor,
-                           mask: np.ndarray) -> Tensor:
-    h = features
+def _forward_one(model: LGrinModel, sample: SequenceSample,
+                 a_eff: Tensor | None, mask: np.ndarray | None
+                 ) -> tuple[Tensor, Tensor]:
+    """Logits and final node embeddings for one checked sample."""
+    h = ad.constant(sample.features)
+    if a_eff is None:  # weighted adjacency is a function of this sample
+        a_eff = adjmod.fixed_adjacency("weighted", model.config.m, h)
+        mask = adjmod.neighbor_mask(a_eff, model.config.mask_threshold)
     for layer in model.layers:
         h = L.inception_layer(h, a_eff, layer, mask)
-    return h
-
-
-def _head(model: LGrinModel, pooled: Tensor) -> Tensor:
-    return ad.add(ad.vecmat(pooled, model.head_w), model.head_b)
-
-
-def _forward_one(model: LGrinModel, features: Tensor, a_eff: Tensor | None,
-                 mask: np.ndarray | None) -> tuple[Tensor, Tensor]:
-    """Logits and final node embeddings for one prepared sample."""
+    for w in model.gcn_weights:
+        h = L.gcn_layer(h, a_eff, w)
     if model.arch == "baseline_gcn":
-        h = features
-        for w in model.gcn_weights:
-            h = L.gcn_layer(h, model.adjacency, w)
         pooled = ad.concat_vectors([ad.readout(h, "max"), ad.readout(h, "mean")])
-        return _head(model, pooled), h
-    if a_eff is None:  # weighted adjacency is a function of this sample
-        a_eff = adjmod.fixed_adjacency("weighted", model.config.m, features)
-        mask = adjmod.neighbor_mask(a_eff, model.config.mask_threshold)
-    h = _lgrin_node_embeddings(model, features, a_eff, mask)
-    pooled = L.pooling_layer(h, model.pooling, model.config.pooling_mode)
-    return _head(model, pooled), h
+    else:
+        pooled = L.pooling_layer(h, model.pooling, model.config.pooling_mode)
+    return ad.add(ad.vecmat(pooled, model.head_w), model.head_b), h
 
 
 def forward_shared(model: LGrinModel,
@@ -238,36 +242,24 @@ def forward_shared(model: LGrinModel,
     steps accumulate all their gradients into the single raw parameter.
     The first element is None when the adjacency is per-sample (weighted).
     """
-    for s in samples:
-        _check_sample(model, s)
-    a_eff = shared_effective_adjacency(model)
-    mask = None
-    if model.arch == "lgrin" and a_eff is not None:
-        mask = adjmod.neighbor_mask(a_eff, model.config.mask_threshold)
-    logits = [_forward_one(model, ad.constant(s.features), a_eff, mask)[0]
-              for s in samples]
-    return a_eff, logits
+    a_eff, mask = _shared_graph(model, samples)
+    return a_eff, [_forward_one(model, s, a_eff, mask)[0] for s in samples]
 
 
-def forward_batch(model: LGrinModel, samples: list[SequenceSample]) -> list[Tensor]:
-    """Logits for every sample, sharing one effective adjacency per call."""
-    return forward_shared(model, samples)[1]
+def graph_loss(model: LGrinModel, a_eff: Tensor | None,
+               weights: LossWeights) -> Tensor | None:
+    """The graph-learning term this model trains, or None if it has none.
 
-
-def forward(model: LGrinModel, sample: SequenceSample) -> Tensor:
-    """Logits (length C) for one padded sample."""
-    return forward_batch(model, [sample])[0]
-
-
-def node_embeddings(model: LGrinModel, sample: SequenceSample) -> np.ndarray:
-    """Final-layer node embedding matrix H, detached from any tape."""
-    _check_sample(model, sample)
-    a_eff = shared_effective_adjacency(model)
-    mask = None
-    if model.arch == "lgrin" and a_eff is not None:
-        mask = adjmod.neighbor_mask(a_eff, model.config.mask_threshold)
-    _, h = _forward_one(model, ad.constant(sample.features), a_eff, mask)
-    return h.values
+    The baseline learns no structure. An lgrin model drops the adjacency
+    terms when its adjacency is per-sample (weighted) and the pooling term
+    when its pooling is fixed; a fixed binary chain keeps its adjacency
+    terms, which add a constant to the loss.
+    """
+    p = model.pooling.p if model.pooling is not None else None
+    if model.arch == "baseline_gcn" or (a_eff is None and p is None):
+        return None
+    return graph_learning_loss(a_eff, adjmod.structure_matrix(model.config.m),
+                               p, weights)
 
 
 def argmax_plurality(h: np.ndarray) -> int:
@@ -286,7 +278,8 @@ def salient_node(model: LGrinModel, sample: SequenceSample) -> int:
     """
     if model.arch == "lgrin" and model.config.pooling_mode == "mean":
         raise ConfigError("salient_node needs a pooling mode with a max readout")
-    return argmax_plurality(node_embeddings(model, sample))
+    a_eff, mask = _shared_graph(model, [sample])
+    return argmax_plurality(_forward_one(model, sample, a_eff, mask)[1].values)
 
 
 def parameter_count(model: LGrinModel) -> int:
@@ -352,9 +345,12 @@ def load_checkpoint(path: str | Path) -> LGrinModel:
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ConfigError(f"{path}: unsupported checkpoint version "
                               f"{meta.get('version')}")
-        config = ModelConfig.from_dict(meta["config"])
-        arch = meta["arch"]
-        model = build_lgrin(config) if arch == "lgrin" else build_baseline_gcn(config)
+        for key in ("arch", "config"):
+            if key not in meta:
+                raise ConfigError(f"{path}: checkpoint meta has no {key!r}")
+        if meta["arch"] not in BUILDERS:
+            raise ConfigError(f"{path}: unknown arch {meta['arch']!r}")
+        model = BUILDERS[meta["arch"]](ModelConfig.from_dict(meta["config"]))
         for name, tensor in model.registry.items():
             key = f"param/{name}"
             if key not in zf:

@@ -39,23 +39,26 @@ def classification_loss(logits_batch: Sequence[Tensor],
                            for lg, y in zip(logits_batch, labels)])
 
 
-def graph_learning_loss(a_eff: Tensor, a_d: StructureMatrix, p: Tensor,
-                        w: LossWeights) -> Tensor:
-    """lambda1 * sum(A_d o A) + lambda2 * ||A||_F^2 + lambda3 * ||p||_2^2."""
-    m = a_eff.shape[0]
-    if a_eff.shape != (m, m) or a_d.values.shape != (m, m):
+def graph_learning_loss(a_eff: Tensor | None, a_d: StructureMatrix,
+                        p: Tensor | None, w: LossWeights) -> Tensor:
+    """lambda1 * sum(A_d o A) + lambda2 * ||A||_F^2 + lambda3 * ||p||_2^2.
+
+    A None adjacency or pooling vector leaves its terms out; at least one
+    of the two must be given.
+    """
+    m = a_d.values.shape[0]
+    if a_eff is not None and a_eff.shape != (m, m):
         raise ShapeError(f"adjacency {a_eff.shape} vs structure "
                          f"{a_d.values.shape}")
-    if p.shape != (m,):
+    if p is not None and p.shape != (m,):
         raise ShapeError(f"pooling vector {p.shape} does not match M={m}")
-    locality = ad.sum_all(ad.mul(ad.constant(a_d.values), a_eff))
-    frobenius = ad.sum_all(ad.mul(a_eff, a_eff))
-    pooling = ad.sum_all(ad.mul(p, p))
-    return ad.add_scalars([
-        ad.scale(locality, w.lambda1),
-        ad.scale(frobenius, w.lambda2),
-        ad.scale(pooling, w.lambda3),
-    ])
+    sums = []
+    if a_eff is not None:
+        sums.append((ad.sum_all(ad.mul(ad.constant(a_d.values), a_eff)), w.lambda1))
+        sums.append((ad.sum_all(ad.mul(a_eff, a_eff)), w.lambda2))
+    if p is not None:
+        sums.append((ad.sum_all(ad.mul(p, p)), w.lambda3))
+    return ad.add_scalars([ad.scale(total, lam) for total, lam in sums])
 
 
 def total_loss(cls: Tensor, gl: Tensor) -> Tensor:

@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import adjacency as adjmod
 from . import autodiff as ad
 from . import model as mm
 from .autodiff import GradTape, Tensor
 from .data import GraphDataset, SequenceSample, pad_or_truncate
 from .errors import ConfigError, ContractError, NumericalError
 from .layers import xavier_uniform
-from .objective import LossWeights, classification_loss, graph_learning_loss, total_loss
+from .objective import LossWeights, classification_loss, total_loss
 
 KINK_MARGIN = 1e-3
 
@@ -130,21 +129,13 @@ def adam_step(registry: dict[str, Tensor], grads: dict[str, np.ndarray],
 
 
 def _batch_objective(model: mm.LGrinModel, samples: list[SequenceSample],
-                     labels: list[int], weights: LossWeights,
-                     a_d: adjmod.StructureMatrix | None) -> tuple[Tensor, list[Tensor]]:
+                     labels: list[int],
+                     weights: LossWeights) -> tuple[Tensor, list[Tensor]]:
     """Total loss for one minibatch on the active tape, plus per-sample logits."""
     a_eff, logits = mm.forward_shared(model, samples)
-    cls = classification_loss(logits, labels)
-    if model.arch != "lgrin":
-        return cls, logits
-    m = model.config.m
-    # fixed/per-sample adjacency or fixed pooling: the absent component
-    # enters the structure loss as zeros, so its terms vanish
-    a_for_loss = a_eff if a_eff is not None else ad.constant(np.zeros((m, m)))
-    p_for_loss = (model.pooling.p if model.pooling is not None
-                  else ad.constant(np.zeros(m)))
-    gl = graph_learning_loss(a_for_loss, a_d, p_for_loss, weights)
-    return total_loss(cls, gl), logits
+    loss = classification_loss(logits, labels)
+    gl = mm.graph_loss(model, a_eff, weights)
+    return (loss if gl is None else total_loss(loss, gl)), logits
 
 
 def _check_compat(model: mm.LGrinModel, dataset: GraphDataset) -> None:
@@ -171,8 +162,6 @@ def train(model: mm.LGrinModel, dataset: GraphDataset, cfg: TrainConfig,
     padded = [pad_or_truncate(s, model.config.m) for s in dataset.samples]
     labels = [s.label for s in padded]
     n = len(padded)
-    a_d = (adjmod.structure_matrix(model.config.m)
-           if model.arch == "lgrin" else None)
     if trainable is None:
         trainable = set(model.registry)
     unknown = trainable - set(model.registry)
@@ -195,7 +184,7 @@ def train(model: mm.LGrinModel, dataset: GraphDataset, cfg: TrainConfig,
             batch_labels = [labels[i] for i in idx]
             with GradTape() as tape:
                 total, logits = _batch_objective(model, batch, batch_labels,
-                                                 cfg.loss_weights, a_d)
+                                                 cfg.loss_weights)
             grad_map = ad.backward(total, tape)
             grads = {}
             for name, tensor in sub_registry.items():
@@ -241,7 +230,7 @@ def evaluate(model: mm.LGrinModel, samples: list[SequenceSample]) -> dict:
 
     Predictions are the argmax of the logits, lowest index on ties.
     """
-    logits = mm.forward_batch(model, samples)
+    logits = mm.forward_shared(model, samples)[1]
     preds = [int(lg.values.argmax()) for lg in logits]
     return confusion_from_predictions([s.label for s in samples], preds,
                                       model.config.c)
@@ -254,10 +243,7 @@ def evaluate(model: mm.LGrinModel, samples: list[SequenceSample]) -> dict:
 def _loss_value(model: mm.LGrinModel, sample: SequenceSample,
                 weights: LossWeights) -> float:
     """Forward-only objective value for the current parameter values."""
-    a_d = (adjmod.structure_matrix(model.config.m)
-           if model.arch == "lgrin" else None)
-    loss, _ = _batch_objective(model, [sample], [sample.label], weights, a_d)
-    return loss.item()
+    return _batch_objective(model, [sample], [sample.label], weights)[0].item()
 
 
 def grad_check(model: mm.LGrinModel, sample: SequenceSample, eps: float = 1e-5,
@@ -275,10 +261,8 @@ def grad_check(model: mm.LGrinModel, sample: SequenceSample, eps: float = 1e-5,
     offset, as a negative control for the surrounding harness.
     """
     weights = weights if weights is not None else LossWeights()
-    a_d = (adjmod.structure_matrix(model.config.m)
-           if model.arch == "lgrin" else None)
     with GradTape(track_kinks=True) as tape:
-        total, _ = _batch_objective(model, [sample], [sample.label], weights, a_d)
+        total, _ = _batch_objective(model, [sample], [sample.label], weights)
     grad_map = ad.backward(total, tape)
     margin = tape.kink_margin()
 
@@ -328,24 +312,13 @@ def fine_tune_head(model: mm.LGrinModel, target: GraphDataset,
     bit-exactly. If the target class count differs, the head is rebuilt at
     the new width and re-initialized from cfg.seed.
     """
-    if target.feature_dim != model.config.p:
-        raise ConfigError(f"target feature_dim {target.feature_dim} "
-                          f"!= model P {model.config.p}")
-    if target.target_length != model.config.m:
-        raise ConfigError(f"target length {target.target_length} "
-                          f"!= model M {model.config.m}")
-    config = model.config
-    head_w, head_b = model.head_w, model.head_b
-    if target.num_classes != config.c:
-        config = dataclasses.replace(config, c=target.num_classes)
+    tuned = dataclasses.replace(model)
+    if target.num_classes != model.config.c:
+        c = target.num_classes
         rng = np.random.default_rng(cfg.seed)
-        d_h = (config.head_input_width() if model.arch == "lgrin"
-               else 2 * mm.BASELINE_GCN_WIDTH)
-        head_w = ad.parameter(xavier_uniform(rng, d_h, config.c), name="head.w")
-        head_b = ad.parameter(np.zeros(config.c), name="head.b")
-    tuned = mm.LGrinModel(config=config, arch=model.arch,
-                          adjacency=model.adjacency, layers=model.layers,
-                          gcn_weights=model.gcn_weights, pooling=model.pooling,
-                          head_w=head_w, head_b=head_b)
+        tuned.config = dataclasses.replace(model.config, c=c)
+        tuned.head_w = ad.parameter(xavier_uniform(rng, model.head_w.shape[0], c),
+                                    name="head.w")
+        tuned.head_b = ad.parameter(np.zeros(c), name="head.b")
     tuned.registry = mm.build_registry(tuned)
     return train(tuned, target, cfg, trainable={"head.w", "head.b"})

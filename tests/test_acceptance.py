@@ -13,6 +13,7 @@ import pytest
 from lgrin import adjacency as adjmod
 from lgrin import autodiff as ad
 from lgrin import data as dd
+from lgrin import layers as L
 from lgrin import model as mm
 from lgrin import training as tr
 from lgrin.objective import LossWeights, classification_loss, graph_learning_loss
@@ -99,7 +100,11 @@ class TestCriterion02ShapeLaw:
                     ok &= widths[k + 1] == sum(etas[k]) + widths[k]
                 model = mm.build_lgrin(cfg)
                 sample = dd.SequenceSample(rng.uniform(-1, 1, (6, 5)), 0, "s")
-                h = mm.node_embeddings(model, sample)
+                a_eff = adjmod.effective_adjacency(model.adjacency)
+                mask = adjmod.neighbor_mask(a_eff)
+                h = ad.constant(sample.features)
+                for layer in model.layers:
+                    h = L.inception_layer(h, a_eff, layer, mask)
                 ok &= h.shape == (6, widths[-1])
         facial = mm.build_lgrin(FACIAL)
         ok &= FACIAL.head_input_width() == 1560
@@ -217,10 +222,10 @@ class TestCriterion09Determinism:
             dd.synth_generate(dd.SynthSpec(num_classes=3, per_class=1, m=8,
                                            p=4, noise=0.2, seed=8)).samples[0],
             8)
-        before = mm.forward(model_a, sample).values
+        before = mm.forward_shared(model_a, [sample])[1][0].values
         reloaded = mm.load_checkpoint(
             mm.save_checkpoint(model_a, tmp_path / "m.npz"))
-        after = mm.forward(reloaded, sample).values
+        after = mm.forward_shared(reloaded, [sample])[1][0].values
         check(9, "determinism and persistence",
               curves_equal and np.array_equal(before, after))
 

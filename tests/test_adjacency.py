@@ -9,25 +9,33 @@ import pytest
 from lgrin import adjacency as adj
 from lgrin import autodiff as ad
 from lgrin.errors import ConfigError, ContractError
+from lgrin.model import ModelConfig, build_lgrin
+
+
+def learnable_raw(m, seed):
+    """The raw adjacency parameter exactly as training starts from it."""
+    config = ModelConfig(m=m, p=1, c=2, inception_layers=1, etas=[(1, 1)],
+                         seed=seed)
+    return build_lgrin(config).adjacency.raw
 
 
 class TestInitLearnable:
     def test_deterministic_per_seed(self):
-        a = adj.init_learnable_adjacency(8, seed=42)
-        b = adj.init_learnable_adjacency(8, seed=42)
-        npt.assert_array_equal(a.raw.values, b.raw.values)
+        a = learnable_raw(8, seed=42)
+        b = learnable_raw(8, seed=42)
+        npt.assert_array_equal(a.values, b.values)
 
     def test_facial_scale_entry_count(self):
-        assert adj.init_learnable_adjacency(90, seed=0).raw.values.size == 8100
+        assert learnable_raw(90, seed=0).values.size == 8100
 
     def test_standard_normal_statistics(self):
-        raw = adj.init_learnable_adjacency(120, seed=3).raw.values
+        raw = learnable_raw(120, seed=3).values
         assert abs(raw.mean()) < 0.1
         assert abs(raw.std() - 1.0) < 0.1
 
     def test_too_small(self):
         with pytest.raises(ConfigError):
-            adj.init_learnable_adjacency(1, seed=0)
+            learnable_raw(1, seed=0)
 
 
 class TestEffectiveAdjacency:
@@ -158,6 +166,12 @@ class TestStructureMatrix:
                 for j in range(m):
                     expected[i, j] = (i - j) ** 2
             npt.assert_array_equal(got, expected)
+
+    def test_shared_copy_is_read_only(self):
+        # training reuses one matrix per M, so no caller may write into it
+        assert adj.structure_matrix(9) is adj.structure_matrix(9)
+        with pytest.raises(ValueError):
+            adj.structure_matrix(9).values[0, 1] = 5.0
 
 
 class TestNeighborMask:

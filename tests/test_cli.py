@@ -262,6 +262,51 @@ class TestInspect:
                    "--what", "salient") == 1
 
 
+def one_line_error(capsys, expected):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and expected in err, err
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda meta: meta.update(arch="transformer"), "unknown arch 'transformer'"),
+        (lambda meta: meta.pop("arch"), "no 'arch'"),
+        (lambda meta: meta.pop("config"), "no 'config'"),
+    ], ids=["unknown-arch", "no-arch", "no-config"])
+    def test_checkpoint_meta(self, trained, dataset_dir, tmp_path, capsys,
+                             edit, expected):
+        ckpt, _ = trained
+        with np.load(ckpt) as zf:
+            arrays = {key: zf[key] for key in zf.files}
+        meta = json.loads(str(arrays["meta"]))
+        edit(meta)
+        arrays["meta"] = np.array(json.dumps(meta))
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        assert run("eval", "--checkpoint", str(bad),
+                   "--data", str(dataset_dir / "manifest.json")) == 1
+        one_line_error(capsys, expected)
+
+    @pytest.mark.parametrize("override, expected", [
+        ("model.etas=5", "bad model section"),
+        ("model=3", "model section must be a JSON object"),
+    ], ids=["etas-not-pairs", "section-not-object"])
+    def test_model_override(self, run_config, capsys, override, expected):
+        assert run("train", "--config", str(run_config),
+                   "--override", override) == 1
+        one_line_error(capsys, expected)
+
+    @pytest.mark.parametrize("grid, expected", [
+        ('{"layers": 2}', "must be a list"),
+        ('{"lambdas": [[0.1, 0.1]]}', "must hold 3 numbers"),
+    ], ids=["value-not-list", "short-lambdas"])
+    def test_ablate_grid(self, tmp_path, run_config, capsys, grid, expected):
+        assert run("ablate", "--config", str(run_config), "--grid", grid,
+                   "--out", str(tmp_path / "grid.csv")) == 1
+        one_line_error(capsys, expected)
+        assert not (tmp_path / "grid.csv").exists()
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_1(self):
         with pytest.raises(SystemExit) as exc:

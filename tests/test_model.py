@@ -4,6 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from lgrin import adjacency as adj
+from lgrin import autodiff as ad
+from lgrin import layers as L
 from lgrin import model as mm
 from lgrin.data import SequenceSample
 from lgrin.errors import ConfigError, ShapeError
@@ -22,6 +25,20 @@ def random_sample(config, seed=0, scale=2.0):
     rng = np.random.default_rng(seed)
     return SequenceSample(rng.uniform(-scale, scale, (config.m, config.p)),
                           int(rng.integers(config.c)), f"s{seed}")
+
+
+def logits(model, sample):
+    return mm.forward_shared(model, [sample])[1][0]
+
+
+def final_embeddings(model, sample):
+    """The last inception layer's output, stacked by hand (learnable mode)."""
+    a_eff = adj.effective_adjacency(model.adjacency)
+    mask = adj.neighbor_mask(a_eff, model.config.mask_threshold)
+    h = ad.constant(sample.features)
+    for layer in model.layers:
+        h = L.inception_layer(h, a_eff, layer, mask)
+    return h.values
 
 
 class TestModelConfig:
@@ -92,33 +109,33 @@ class TestForward:
     def test_zero_features_zero_logits(self):
         model = mm.build_lgrin(small_config())
         s = SequenceSample(np.zeros((6, 5)), 0, "z")
-        npt.assert_array_equal(mm.forward(model, s).values, np.zeros(3))
+        npt.assert_array_equal(logits(model, s).values, np.zeros(3))
 
     def test_output_length(self):
         model = mm.build_lgrin(small_config())
-        assert mm.forward(model, random_sample(model.config)).shape == (3,)
+        assert logits(model, random_sample(model.config)).shape == (3,)
 
     def test_finite_on_wide_inputs(self):
         model = mm.build_lgrin(small_config())
         for seed in range(5):
             s = random_sample(model.config, seed=seed, scale=10.0)
-            assert np.all(np.isfinite(mm.forward(model, s).values))
+            assert np.all(np.isfinite(logits(model, s).values))
 
     def test_shape_mismatch(self):
         model = mm.build_lgrin(small_config())
         with pytest.raises(ShapeError):
-            mm.forward(model, SequenceSample(np.zeros((5, 5)), 0, "bad"))
+            logits(model, SequenceSample(np.zeros((5, 5)), 0, "bad"))
 
     def test_deterministic(self):
         model = mm.build_lgrin(small_config())
         s = random_sample(model.config, seed=3)
-        npt.assert_array_equal(mm.forward(model, s).values,
-                               mm.forward(model, s).values)
+        npt.assert_array_equal(logits(model, s).values,
+                               logits(model, s).values)
 
     def test_weighted_adjacency_mode(self):
         model = mm.build_lgrin(small_config(adjacency_mode="weighted"))
         assert model.adjacency is None
-        out = mm.forward(model, random_sample(model.config))
+        out = logits(model, random_sample(model.config))
         assert out.shape == (3,) and np.all(np.isfinite(out.values))
 
     def test_permutation_equivariance(self):
@@ -128,14 +145,14 @@ class TestForward:
             cfg = small_config(pooling_mode=mode, seed=4)
             model = mm.build_lgrin(cfg)
             s = random_sample(cfg, seed=8)
-            base = mm.forward(model, s).values
+            base = logits(model, s).values
 
             perm = np.random.default_rng(5).permutation(cfg.m)
             permuted_model = mm.build_lgrin(cfg)
             raw = model.adjacency.raw.values
             permuted_model.adjacency.raw.values[...] = raw[np.ix_(perm, perm)]
             s_perm = SequenceSample(s.features[perm], s.label, s.id)
-            out = mm.forward(permuted_model, s_perm).values
+            out = logits(permuted_model, s_perm).values
             npt.assert_allclose(out, base, rtol=1e-12, atol=1e-12)
 
 
@@ -193,7 +210,7 @@ class TestSalientNode:
         model = mm.build_lgrin(small_config(seed=2))
         for seed in range(6):
             s = random_sample(model.config, seed=seed)
-            h = mm.node_embeddings(model, s)
+            h = final_embeddings(model, s)
             counts = np.zeros(h.shape[0], dtype=int)
             for q in range(h.shape[1]):
                 best, best_val = 0, h[0, q]
@@ -223,7 +240,7 @@ class TestBaselineGcn:
 
     def test_forward_shape(self):
         model = mm.build_baseline_gcn(small_config())
-        assert mm.forward(model, random_sample(model.config)).shape == (3,)
+        assert logits(model, random_sample(model.config)).shape == (3,)
 
     def test_closed_form_count(self):
         cfg = small_config()
@@ -237,10 +254,10 @@ class TestCheckpoint:
         for build in (mm.build_lgrin, mm.build_baseline_gcn):
             model = build(small_config(seed=6))
             s = random_sample(model.config, seed=1)
-            before = mm.forward(model, s).values
+            before = logits(model, s).values
             path = mm.save_checkpoint(model, tmp_path / "model.npz")
             again = mm.load_checkpoint(path)
-            npt.assert_array_equal(mm.forward(again, s).values, before)
+            npt.assert_array_equal(logits(again, s).values, before)
             assert again.arch == model.arch
             assert again.config == model.config
 

@@ -222,6 +222,19 @@ class TestFineTuneHead:
         assert tuned.head_w.shape == (d_h, 3)
         assert tuned.config.c == 3
 
+    def test_baseline_gcn_head_reshaped_for_new_class_count(self):
+        model = mm.build_baseline_gcn(small_config())
+        model, _ = tr.train(model, small_dataset(), tr.TrainConfig(epochs=2, seed=0))
+        frozen = {name: model.registry[name].values.tobytes()
+                  for name in ("gcn.w0", "gcn.w1")}
+        target = small_dataset(classes=3, per_class=4, seed=21)
+        tuned, _ = tr.fine_tune_head(model, target,
+                                     tr.TrainConfig(epochs=2, seed=0))
+        assert tuned.head_w.shape == (128, 3)
+        assert tuned.config.c == 3
+        for name, blob in frozen.items():
+            assert tuned.registry[name].values.tobytes() == blob
+
     def test_same_corpus_accuracy_not_degraded(self):
         model, ds = self.train_small()
         padded = [dd.pad_or_truncate(s, 8) for s in ds.samples]
