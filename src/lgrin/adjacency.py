@@ -12,7 +12,6 @@ graph learning loss.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,29 +20,14 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError, LgrinError
 
 
-@dataclass
-class LearnableAdjacency:
-    """Unconstrained raw M x M parameter behind the effective adjacency."""
-
-    raw: Tensor
-
-
-@dataclass(frozen=True)
-class StructureMatrix:
-    """Fixed matrix with entry (i, j) = (i - j)^2, 0-based indices."""
-
-    values: np.ndarray
-
-
-def effective_adjacency(adj: LearnableAdjacency) -> Tensor:
+def effective_adjacency(raw: Tensor) -> Tensor:
     """ReLU of the symmetrized raw parameter, recorded on the active tape.
 
     Symmetry is enforced by averaging raw with its transpose before
     rectifying, so the result is symmetric and non-negative for any raw
     matrix while staying differentiable almost everywhere.
     """
-    sym = ad.scale(ad.add(adj.raw, ad.transpose(adj.raw)), 0.5)
-    return ad.relu(sym)
+    return ad.relu(ad.scale(ad.add(raw, ad.transpose(raw)), 0.5))
 
 
 def fixed_adjacency(kind: str, m: int, features: Tensor | None = None) -> Tensor:
@@ -86,8 +70,8 @@ def renormalized_adjacency(a: Tensor) -> Tensor:
 
 
 @functools.lru_cache(maxsize=None)
-def structure_matrix(m: int) -> StructureMatrix:
-    """Quadratic temporal-distance penalty matrix, built once per m.
+def structure_matrix(m: int) -> np.ndarray:
+    """Entry (i, j) = (i - j)^2 (0-based), built once per m and read-only.
 
     The graph loss asks for it on every training step; reusing one
     read-only array keeps those steps from allocating a fresh M x M
@@ -98,7 +82,7 @@ def structure_matrix(m: int) -> StructureMatrix:
     idx = np.arange(m, dtype=np.float64)
     values = (idx[:, None] - idx[None, :]) ** 2
     values.flags.writeable = False
-    return StructureMatrix(values)
+    return values
 
 
 def neighbor_mask(a_eff: Tensor, threshold: float = 0.0) -> np.ndarray:

@@ -3,8 +3,11 @@
 The engine is define-by-run: a ``GradTape`` is opened as a context manager,
 every operation executed inside it appends one node (in execution order,
 which is therefore already topological), and ``backward`` replays the nodes
-in reverse to accumulate gradients into the leaf parameters. Tapes are
-rebuilt on every forward pass and are confined to a single thread.
+in reverse to accumulate gradients into the leaves the loss reached. A
+tensor is only its values and a ``requires_grad`` flag: the tape points at
+the tensors its nodes read and wrote, never the other way round, so a tape
+is freed as soon as its caller drops it. Tapes are rebuilt on every forward
+pass and are confined to a single thread.
 
 Only the operations the model needs are provided; there is no broadcasting
 beyond matrix-plus-row-vector addition, no views, and no higher-order
@@ -37,21 +40,16 @@ def active_tape() -> "GradTape | None":
 
 
 class Tensor:
-    """Dense float64 array plus gradient bookkeeping.
-
-    ``requires_grad`` marks leaf parameters; ``tape`` points at the tape
-    that produced the tensor (None for leaves and constants). Finished
-    tensors are immutable by convention and safe to share read-only.
+    """Dense float64 array; ``requires_grad`` marks leaf parameters and
+    everything computed from them. Finished tensors are immutable by
+    convention and safe to share read-only.
     """
 
-    __slots__ = ("values", "requires_grad", "tape", "name")
+    __slots__ = ("values", "requires_grad")
 
-    def __init__(self, values, requires_grad: bool = False,
-                 tape: "GradTape | None" = None, name: str | None = None):
+    def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.tape = tape
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -67,13 +65,12 @@ class Tensor:
         return float(self.values.reshape(()))
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def parameter(values, name: str | None = None) -> Tensor:
+def parameter(values) -> Tensor:
     """A learnable leaf tensor (owns its values across training steps)."""
-    return Tensor(np.array(values, dtype=np.float64), requires_grad=True, name=name)
+    return Tensor(np.array(values, dtype=np.float64), requires_grad=True)
 
 
 def constant(values) -> Tensor:
@@ -92,7 +89,7 @@ class _Node:
 
 
 class GradTape:
-    """Ordered record of executed operations plus the leaf parameters seen.
+    """Ordered record of executed operations.
 
     Append order is a topological order of the computation graph: every
     node's inputs were produced by earlier nodes or are leaves. With
@@ -103,8 +100,6 @@ class GradTape:
 
     def __init__(self, track_kinks: bool = False):
         self.nodes: list[_Node] = []
-        self.leaf_params: list[Tensor] = []
-        self._leaf_ids: set[int] = set()
         self.track_kinks = track_kinks
         self.relu_margin = math.inf
         self.max_margin = math.inf
@@ -118,17 +113,9 @@ class GradTape:
         if popped is not self:
             raise ContractError("GradTape contexts closed out of order")
 
-    def _register_inputs(self, inputs: tuple[Tensor, ...]) -> None:
-        for t in inputs:
-            if t.requires_grad and t.tape is not self and id(t) not in self._leaf_ids:
-                self._leaf_ids.add(id(t))
-                self.leaf_params.append(t)
-
     def record(self, inputs: tuple[Tensor, ...], out_values: np.ndarray,
                backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
-        out = Tensor(out_values, requires_grad=any(t.requires_grad for t in inputs),
-                     tape=self)
-        self._register_inputs(inputs)
+        out = Tensor(out_values, requires_grad=any(t.requires_grad for t in inputs))
         self.nodes.append(_Node(out, inputs, backward))
         return out
 
@@ -145,36 +132,30 @@ def _emit(inputs: tuple[Tensor, ...], out_values: np.ndarray,
     return tape.record(inputs, out_values, backward)
 
 
-def backward(loss: Tensor, tape: GradTape | None = None) -> dict[Tensor, Tensor]:
-    """Reverse-mode gradients of a scalar loss for every leaf parameter.
+def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
+    """Reverse-mode gradients of a scalar loss, keyed by the leaves it reached.
 
-    Leaves that do not influence the loss receive an all-zeros gradient of
-    their own shape. Accumulation order is the reverse of execution order,
-    so repeated runs are bit-identical.
+    Each produced tensor's gradient is popped when its node runs, so what
+    remains are the leaves; a leaf the loss does not reach is absent.
+    Accumulation order is the reverse of execution order, so repeated runs
+    are bit-identical.
     """
-    tape = tape if tape is not None else loss.tape
-    if tape is None:
-        raise ContractError("loss tensor was not produced on a gradient tape")
     if loss.values.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.values)}
     for node in reversed(tape.nodes):
-        g = grads.pop(id(node.output), None)
+        g = grads.pop(node.output, None)
         if g is None:
             continue
         for t, gin in zip(node.inputs, node.backward(g)):
             if gin is None or not t.requires_grad:
                 continue
-            acc = grads.get(id(t))
+            acc = grads.get(t)
             # never accumulate in place: backward outputs may alias each
             # other (add returns the upstream array for both operands)
-            grads[id(t)] = gin if acc is None else acc + gin
-    out: dict[Tensor, Tensor] = {}
-    for p in tape.leaf_params:
-        g = grads.get(id(p))
-        out[p] = Tensor(g if g is not None else np.zeros_like(p.values))
-    return out
+            grads[t] = gin if acc is None else acc + gin
+    return grads
 
 
 # ---------------------------------------------------------------------------

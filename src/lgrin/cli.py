@@ -21,7 +21,7 @@ from . import training as tr
 from .data import (GraphDataset, SynthSpec, cv_split, load_dataset,
                    pad_or_truncate, save_dataset, synth_generate)
 from .errors import (ConfigError, ContractError, DataError, LgrinError,
-                     NumericalError, SplitError)
+                     NumericalError, SplitError, is_int)
 from .objective import LossWeights
 
 EXIT_OK = 0
@@ -198,6 +198,17 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+# entry check and message per grid axis whose entries cmd_ablate unpacks;
+# the mode axes need none, ModelConfig rejects an unknown mode
+_GRID_ENTRY_RULES = {
+    "etas": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_int, v)),
+             "must hold 2 integers"),
+    "layers": (is_int, "must be an integer"),
+    "lambdas": (lambda v: isinstance(v, list) and len(v) == 3
+                and all(isinstance(x, (int, float)) for x in v), "must hold 3 numbers"),
+}
+
+
 def _parse_grid(spec: str, axes: dict[str, list]) -> dict[str, list]:
     """The ablation axes: each list in the grid spec replaces its base axis."""
     if spec.startswith("@"):
@@ -210,11 +221,11 @@ def _parse_grid(spec: str, axes: dict[str, list]) -> dict[str, list]:
     for key, values in grid.items():
         if not isinstance(values, list):
             raise ConfigError(f"grid {key!r} must be a list, got {values!r}")
-    for lam in grid.get("lambdas", []):
-        if not (isinstance(lam, list) and len(lam) == 3
-                and all(isinstance(x, (int, float)) for x in lam)):
-            raise ConfigError(f"each grid lambdas entry must hold 3 numbers, "
-                              f"got {lam!r}")
+        if key in _GRID_ENTRY_RULES:
+            check, rule = _GRID_ENTRY_RULES[key]
+            for entry in values:
+                if not check(entry):
+                    raise ConfigError(f"each grid {key} entry {rule}, got {entry!r}")
     return {**axes, **grid}
 
 

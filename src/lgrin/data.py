@@ -99,22 +99,32 @@ def load_dataset(manifest_path: str | Path) -> GraphDataset:
     if not isinstance(doc, dict) or not _MANIFEST_KEYS.issubset(doc):
         missing = _MANIFEST_KEYS - set(doc) if isinstance(doc, dict) else _MANIFEST_KEYS
         raise DataError(f"{manifest_path}: missing manifest keys {sorted(missing)}")
+    try:
+        num_classes, feature_dim, target_length = (
+            int(doc[key]) for key in ("num_classes", "feature_dim", "target_length"))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{manifest_path}: num_classes, feature_dim and "
+                        f"target_length must be integers ({exc})") from exc
     base = manifest_path.parent
+    root = base.resolve()
     entries = doc["samples"]
     if not entries:
         raise DataError(f"{manifest_path}: empty dataset")
     samples = []
     for pos, entry in enumerate(entries):
         try:
-            rel, label, sid = entry["features"], entry["label"], entry["id"]
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"{manifest_path}: sample #{pos} missing key {exc}") from exc
-        features = _read_csv_matrix(base / rel, int(doc["feature_dim"]))
-        samples.append(SequenceSample(features, int(label), str(sid)))
-    ds = GraphDataset(samples=samples,
-                      num_classes=int(doc["num_classes"]),
-                      feature_dim=int(doc["feature_dim"]),
-                      target_length=int(doc["target_length"]),
+            rel, label, sid = entry["features"], int(entry["label"]), entry["id"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{manifest_path}: sample #{pos} needs features, an "
+                            f"integer label and an id ({exc!r})") from exc
+        path = base / str(rel)
+        if not path.resolve().is_relative_to(root):
+            raise DataError(f"{manifest_path}: sample #{pos} features {rel!r} "
+                            f"lie outside the dataset directory")
+        features = _read_csv_matrix(path, feature_dim)
+        samples.append(SequenceSample(features, label, str(sid)))
+    ds = GraphDataset(samples=samples, num_classes=num_classes,
+                      feature_dim=feature_dim, target_length=target_length,
                       name=str(doc["name"]))
     return ds.validate()
 

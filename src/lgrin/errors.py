@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, plus the integer check that
+config dataclasses run before their own validation."""
+
+import dataclasses
 
 
 class LgrinError(Exception):
@@ -27,3 +30,17 @@ class ContractError(LgrinError):
 
 class NumericalError(LgrinError):
     """Non-finite values or a failed gradient check during computation."""
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_int_fields(config) -> None:
+    """Raise ConfigError for any ``int``-annotated dataclass field holding a
+    non-integer, so 1.5 epochs fails here rather than deep in numpy."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("int", int) and not is_int(value):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")

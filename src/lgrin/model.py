@@ -1,7 +1,10 @@
 """Model assembly, the forward pass, parameter accounting, and persistence.
 
-A model is a parameter registry (adjacency, per-layer parameters, pooling
-weights, linear head) plus its config and architecture name. Two
+A model is its config, its architecture name, its constant graph (if
+any) and a registry: the one ordered name -> tensor map of every
+learnable parameter (raw adjacency, per-layer branch weights, pooling
+weights, linear head). The forward pass, the optimizer and checkpoints
+all read parameters from the registry, and nothing else holds them. Two
 architectures share the container: the full learnable-graph inception
 network, and the plain GCN baseline (two renormalized propagation layers
 over the binary chain with a max|mean readout). This is the only module
@@ -14,7 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +28,7 @@ from . import autodiff as ad
 from . import layers as L
 from .autodiff import Tensor
 from .data import SequenceSample
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, check_int_fields
 from .objective import LossWeights, graph_learning_loss
 
 ADJACENCY_MODES = ("learnable", "binary", "weighted")
@@ -46,6 +50,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.m < 2 or self.p < 1 or self.c < 2:
             raise ConfigError(f"need m >= 2, p >= 1, c >= 2; "
                               f"got ({self.m}, {self.p}, {self.c})")
@@ -97,32 +102,8 @@ class ModelConfig:
 class LGrinModel:
     config: ModelConfig
     arch: str  # "lgrin" | "baseline_gcn"
-    adjacency: adjmod.LearnableAdjacency | Tensor | None
-    layers: list[L.InceptionParams] = field(default_factory=list)
-    gcn_weights: list[Tensor] = field(default_factory=list)
-    pooling: L.PoolingParams | None = None
-    head_w: Tensor | None = None
-    head_b: Tensor | None = None
-    registry: dict[str, Tensor] = field(default_factory=dict)
-
-
-def build_registry(model: LGrinModel) -> dict[str, Tensor]:
-    """Named map of every learnable tensor, in a fixed insertion order."""
-    reg: dict[str, Tensor] = {}
-    if isinstance(model.adjacency, adjmod.LearnableAdjacency):
-        reg["adjacency.raw"] = model.adjacency.raw
-    for k, layer in enumerate(model.layers):
-        for branch_name, branch in (("branch1", layer.branch1),
-                                    ("branch2", layer.branch2)):
-            for tname, t in branch.tensors():
-                reg[f"layer{k}.{branch_name}.{tname}"] = t
-    for k, w in enumerate(model.gcn_weights):
-        reg[f"gcn.w{k}"] = w
-    if model.pooling is not None:
-        reg["pooling.p"] = model.pooling.p
-    reg["head.w"] = model.head_w
-    reg["head.b"] = model.head_b
-    return reg
+    graph: Tensor | None  # constant adjacency; None if learnable or per-sample
+    registry: dict[str, Tensor]
 
 
 def build_lgrin(config: ModelConfig) -> LGrinModel:
@@ -130,33 +111,24 @@ def build_lgrin(config: ModelConfig) -> LGrinModel:
 
     Weight matrices are uniform on +/- sqrt(6 / (fan_in + fan_out)),
     biases start at zero, the pooling vector starts as the uniform average
-    1/M, and a learnable adjacency starts from Normal(0, 1) raw entries.
+    1/M (so the untrained weighted readout coincides with mean pooling),
+    and a learnable adjacency starts from Normal(0, 1) raw entries.
     """
     rng = np.random.default_rng(config.seed)
+    reg: dict[str, Tensor] = {}
+    graph = None  # weighted: built per sample from its features
     if config.adjacency_mode == "learnable":
-        adjacency = adjmod.LearnableAdjacency(
-            ad.parameter(rng.standard_normal((config.m, config.m)),
-                         name="adjacency.raw"))
+        reg["adjacency.raw"] = ad.parameter(rng.standard_normal((config.m, config.m)))
     elif config.adjacency_mode == "binary":
-        adjacency = adjmod.fixed_adjacency("binary", config.m)
-    else:
-        adjacency = None  # weighted: built per sample from its features
-
+        graph = adjmod.fixed_adjacency("binary", config.m)
     widths = config.layer_widths()
-    inception = [L.InceptionParams.init(widths[k], config.etas[k], rng,
-                                        prefix=f"layer{k}")
-                 for k in range(config.inception_layers)]
-    pooling = (L.PoolingParams.init(config.m)
-               if config.pooling_mode == "learnable_full" else None)
-    d_h = config.head_input_width()
-    model = LGrinModel(
-        config=config, arch="lgrin", adjacency=adjacency, layers=inception,
-        pooling=pooling,
-        head_w=ad.parameter(L.xavier_uniform(rng, d_h, config.c), name="head.w"),
-        head_b=ad.parameter(np.zeros(config.c), name="head.b"),
-    )
-    model.registry = build_registry(model)
-    return model
+    for k, etas in enumerate(config.etas):
+        for b, eta in enumerate(etas, start=1):
+            reg.update(zip(_branch_keys(k, b), L.init_branch(widths[k], eta, rng)))
+    if config.pooling_mode == "learnable_full":
+        reg["pooling.p"] = ad.parameter(np.full(config.m, 1.0 / config.m))
+    init_head(reg, config.head_input_width(), config.c, rng)
+    return LGrinModel(config, "lgrin", graph, reg)
 
 
 def build_baseline_gcn(config: ModelConfig) -> LGrinModel:
@@ -168,18 +140,22 @@ def build_baseline_gcn(config: ModelConfig) -> LGrinModel:
     """
     rng = np.random.default_rng(config.seed)
     a_hat = adjmod.renormalized_adjacency(adjmod.fixed_adjacency("binary", config.m))
-    w0 = ad.parameter(L.xavier_uniform(rng, config.p, BASELINE_GCN_WIDTH), name="gcn.w0")
-    w1 = ad.parameter(L.xavier_uniform(rng, BASELINE_GCN_WIDTH, BASELINE_GCN_WIDTH),
-                      name="gcn.w1")
-    d_h = 2 * BASELINE_GCN_WIDTH
-    model = LGrinModel(
-        config=config, arch="baseline_gcn", adjacency=a_hat,
-        gcn_weights=[w0, w1],
-        head_w=ad.parameter(L.xavier_uniform(rng, d_h, config.c), name="head.w"),
-        head_b=ad.parameter(np.zeros(config.c), name="head.b"),
-    )
-    model.registry = build_registry(model)
-    return model
+    reg = {"gcn.w0": ad.parameter(L.xavier_uniform(rng, config.p, BASELINE_GCN_WIDTH)),
+           "gcn.w1": ad.parameter(L.xavier_uniform(rng, BASELINE_GCN_WIDTH,
+                                                   BASELINE_GCN_WIDTH))}
+    init_head(reg, 2 * BASELINE_GCN_WIDTH, config.c, rng)
+    return LGrinModel(config, "baseline_gcn", a_hat, reg)
+
+
+def init_head(reg: dict[str, Tensor], d_h: int, c: int,
+              rng: np.random.Generator) -> None:
+    """Set (or replace, keeping their place) the linear head's two entries."""
+    reg["head.w"] = ad.parameter(L.xavier_uniform(rng, d_h, c))
+    reg["head.b"] = ad.parameter(np.zeros(c))
+
+
+def _branch_keys(k: int, b: int) -> list[str]:
+    return [f"layer{k}.branch{b}.{name}" for name in L.BRANCH_KEYS]
 
 
 BUILDERS = {"lgrin": build_lgrin, "baseline_gcn": build_baseline_gcn}
@@ -192,45 +168,47 @@ def shared_effective_adjacency(model: LGrinModel) -> Tensor | None:
     the active tape so gradients reach the raw parameter; fixed modes
     return the stored constant.
     """
-    if isinstance(model.adjacency, adjmod.LearnableAdjacency):
-        return adjmod.effective_adjacency(model.adjacency)
-    if isinstance(model.adjacency, Tensor):
-        return model.adjacency
-    return None
+    raw = model.registry.get("adjacency.raw")
+    return adjmod.effective_adjacency(raw) if raw is not None else model.graph
 
 
 def _shared_graph(model: LGrinModel, samples: list[SequenceSample]
-                  ) -> tuple[Tensor | None, np.ndarray | None]:
-    """Check the samples, then build the shared adjacency and its mask once."""
+                  ) -> tuple[Tensor | None, np.ndarray | None, list[list[L.Branch]]]:
+    """Check the samples, then build the shared adjacency, its mask and each
+    inception layer's two branches (read from the registry) once."""
     m, p = model.config.m, model.config.p
     for s in samples:
         if s.features.shape != (m, p):
             raise ShapeError(f"sample {s.id!r} has shape "
                              f"{s.features.shape}, model expects ({m}, {p})")
+    reg = model.registry
+    layers = [] if model.arch == "baseline_gcn" else [
+        [tuple(reg[key] for key in _branch_keys(k, b)) for b in (1, 2)]
+        for k in range(model.config.inception_layers)]
     a_eff = shared_effective_adjacency(model)
     mask = None
-    if model.layers and a_eff is not None:  # only inception layers read it
+    if layers and a_eff is not None:  # only inception layers read it
         mask = adjmod.neighbor_mask(a_eff, model.config.mask_threshold)
-    return a_eff, mask
+    return a_eff, mask, layers
 
 
-def _forward_one(model: LGrinModel, sample: SequenceSample,
-                 a_eff: Tensor | None, mask: np.ndarray | None
+def _forward_one(model: LGrinModel, sample: SequenceSample, a_eff: Tensor | None,
+                 mask: np.ndarray | None, layers: list[list[L.Branch]]
                  ) -> tuple[Tensor, Tensor]:
     """Logits and final node embeddings for one checked sample."""
+    reg = model.registry
     h = ad.constant(sample.features)
-    if a_eff is None:  # weighted adjacency is a function of this sample
-        a_eff = adjmod.fixed_adjacency("weighted", model.config.m, h)
-        mask = adjmod.neighbor_mask(a_eff, model.config.mask_threshold)
-    for layer in model.layers:
-        h = L.inception_layer(h, a_eff, layer, mask)
-    for w in model.gcn_weights:
-        h = L.gcn_layer(h, a_eff, w)
     if model.arch == "baseline_gcn":
+        h = L.gcn_layer(L.gcn_layer(h, a_eff, reg["gcn.w0"]), a_eff, reg["gcn.w1"])
         pooled = ad.concat_vectors([ad.readout(h, "max"), ad.readout(h, "mean")])
     else:
-        pooled = L.pooling_layer(h, model.pooling, model.config.pooling_mode)
-    return ad.add(ad.vecmat(pooled, model.head_w), model.head_b), h
+        if a_eff is None:  # weighted adjacency is a function of this sample
+            a_eff = adjmod.fixed_adjacency("weighted", model.config.m, h)
+            mask = adjmod.neighbor_mask(a_eff, model.config.mask_threshold)
+        for branches in layers:
+            h = L.inception_layer(h, a_eff, *branches, mask)
+        pooled = L.pooling_layer(h, reg.get("pooling.p"), model.config.pooling_mode)
+    return ad.add(ad.vecmat(pooled, reg["head.w"]), reg["head.b"]), h
 
 
 def forward_shared(model: LGrinModel,
@@ -242,8 +220,8 @@ def forward_shared(model: LGrinModel,
     steps accumulate all their gradients into the single raw parameter.
     The first element is None when the adjacency is per-sample (weighted).
     """
-    a_eff, mask = _shared_graph(model, samples)
-    return a_eff, [_forward_one(model, s, a_eff, mask)[0] for s in samples]
+    a_eff, mask, layers = _shared_graph(model, samples)
+    return a_eff, [_forward_one(model, s, a_eff, mask, layers)[0] for s in samples]
 
 
 def graph_loss(model: LGrinModel, a_eff: Tensor | None,
@@ -255,7 +233,7 @@ def graph_loss(model: LGrinModel, a_eff: Tensor | None,
     when its pooling is fixed; a fixed binary chain keeps its adjacency
     terms, which add a constant to the loss.
     """
-    p = model.pooling.p if model.pooling is not None else None
+    p = model.registry.get("pooling.p")
     if model.arch == "baseline_gcn" or (a_eff is None and p is None):
         return None
     return graph_learning_loss(a_eff, adjmod.structure_matrix(model.config.m),
@@ -278,8 +256,8 @@ def salient_node(model: LGrinModel, sample: SequenceSample) -> int:
     """
     if model.arch == "lgrin" and model.config.pooling_mode == "mean":
         raise ConfigError("salient_node needs a pooling mode with a max readout")
-    a_eff, mask = _shared_graph(model, [sample])
-    return argmax_plurality(_forward_one(model, sample, a_eff, mask)[1].values)
+    shared = _shared_graph(model, [sample])
+    return argmax_plurality(_forward_one(model, sample, *shared)[1].values)
 
 
 def parameter_count(model: LGrinModel) -> int:
@@ -336,11 +314,20 @@ def load_checkpoint(path: str | Path) -> LGrinModel:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"checkpoint not found: {path}")
-    with np.load(path, allow_pickle=False) as zf:
+    try:
+        zf = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path}: not a model checkpoint ({exc})") from exc
+    if not isinstance(zf, np.lib.npyio.NpzFile):
+        raise ConfigError(f"{path}: not a model checkpoint")
+    with zf:
         if "meta" not in zf:
             raise ConfigError(f"{path}: not a model checkpoint")
-        meta = json.loads(str(zf["meta"]))
-        if meta.get("format") != CHECKPOINT_FORMAT:
+        try:
+            meta = json.loads(str(zf["meta"]))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: checkpoint meta is not JSON ({exc})") from exc
+        if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
             raise ConfigError(f"{path}: unknown checkpoint format")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ConfigError(f"{path}: unsupported checkpoint version "
@@ -350,7 +337,11 @@ def load_checkpoint(path: str | Path) -> LGrinModel:
                 raise ConfigError(f"{path}: checkpoint meta has no {key!r}")
         if meta["arch"] not in BUILDERS:
             raise ConfigError(f"{path}: unknown arch {meta['arch']!r}")
-        model = BUILDERS[meta["arch"]](ModelConfig.from_dict(meta["config"]))
+        try:
+            config = ModelConfig.from_dict(meta["config"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: bad checkpoint config: {exc}") from exc
+        model = BUILDERS[meta["arch"]](config)
         for name, tensor in model.registry.items():
             key = f"param/{name}"
             if key not in zf:

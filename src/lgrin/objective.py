@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import autodiff as ad
-from .adjacency import StructureMatrix
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, ShapeError
 
@@ -39,22 +40,21 @@ def classification_loss(logits_batch: Sequence[Tensor],
                            for lg, y in zip(logits_batch, labels)])
 
 
-def graph_learning_loss(a_eff: Tensor | None, a_d: StructureMatrix,
+def graph_learning_loss(a_eff: Tensor | None, a_d: np.ndarray,
                         p: Tensor | None, w: LossWeights) -> Tensor:
     """lambda1 * sum(A_d o A) + lambda2 * ||A||_F^2 + lambda3 * ||p||_2^2.
 
     A None adjacency or pooling vector leaves its terms out; at least one
     of the two must be given.
     """
-    m = a_d.values.shape[0]
+    m = a_d.shape[0]
     if a_eff is not None and a_eff.shape != (m, m):
-        raise ShapeError(f"adjacency {a_eff.shape} vs structure "
-                         f"{a_d.values.shape}")
+        raise ShapeError(f"adjacency {a_eff.shape} vs structure {a_d.shape}")
     if p is not None and p.shape != (m,):
         raise ShapeError(f"pooling vector {p.shape} does not match M={m}")
     sums = []
     if a_eff is not None:
-        sums.append((ad.sum_all(ad.mul(ad.constant(a_d.values), a_eff)), w.lambda1))
+        sums.append((ad.sum_all(ad.mul(ad.constant(a_d), a_eff)), w.lambda1))
         sums.append((ad.sum_all(ad.mul(a_eff, a_eff)), w.lambda2))
     if p is not None:
         sums.append((ad.sum_all(ad.mul(p, p)), w.lambda3))

@@ -19,8 +19,7 @@ from . import autodiff as ad
 from . import model as mm
 from .autodiff import GradTape, Tensor
 from .data import GraphDataset, SequenceSample, pad_or_truncate
-from .errors import ConfigError, ContractError, NumericalError
-from .layers import xavier_uniform
+from .errors import ConfigError, ContractError, NumericalError, check_int_fields
 from .objective import LossWeights, classification_loss, total_loss
 
 KINK_MARGIN = 1e-3
@@ -40,6 +39,7 @@ class TrainConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr0 <= 0 or self.batch_size < 1 or self.decay_every < 1:
@@ -128,6 +128,13 @@ def adam_step(registry: dict[str, Tensor], grads: dict[str, np.ndarray],
         tensor.values -= lr * (m / correct1) / (np.sqrt(v / correct2) + cfg.epsilon)
 
 
+def registry_grads(registry: dict[str, Tensor],
+                   grads: dict[Tensor, np.ndarray]) -> dict[str, np.ndarray]:
+    """Gradient arrays by registry name; zeros where the loss did not reach."""
+    return {name: grads[t] if t in grads else np.zeros_like(t.values)
+            for name, t in registry.items()}
+
+
 def _batch_objective(model: mm.LGrinModel, samples: list[SequenceSample],
                      labels: list[int],
                      weights: LossWeights) -> tuple[Tensor, list[Tensor]]:
@@ -185,11 +192,7 @@ def train(model: mm.LGrinModel, dataset: GraphDataset, cfg: TrainConfig,
             with GradTape() as tape:
                 total, logits = _batch_objective(model, batch, batch_labels,
                                                  cfg.loss_weights)
-            grad_map = ad.backward(total, tape)
-            grads = {}
-            for name, tensor in sub_registry.items():
-                g = grad_map.get(tensor)
-                grads[name] = g.values if g is not None else np.zeros_like(tensor.values)
+            grads = registry_grads(sub_registry, ad.backward(total, tape))
             adam_step(sub_registry, grads, state, lr, cfg)
             epoch_loss += total.item()
             correct += sum(int(lg.values.argmax()) == y
@@ -263,13 +266,12 @@ def grad_check(model: mm.LGrinModel, sample: SequenceSample, eps: float = 1e-5,
     weights = weights if weights is not None else LossWeights()
     with GradTape(track_kinks=True) as tape:
         total, _ = _batch_objective(model, [sample], [sample.label], weights)
-    grad_map = ad.backward(total, tape)
+    grads = registry_grads(model.registry, ad.backward(total, tape))
     margin = tape.kink_margin()
 
     errors: dict[str, float] = {}
     for name, tensor in model.registry.items():
-        g = grad_map.get(tensor)
-        analytic = g.values if g is not None else np.zeros_like(tensor.values)
+        analytic = grads[name]
         if corrupt == name:
             analytic = analytic + 1e-2
         fd = ad.finite_difference(
@@ -312,13 +314,10 @@ def fine_tune_head(model: mm.LGrinModel, target: GraphDataset,
     bit-exactly. If the target class count differs, the head is rebuilt at
     the new width and re-initialized from cfg.seed.
     """
-    tuned = dataclasses.replace(model)
-    if target.num_classes != model.config.c:
-        c = target.num_classes
-        rng = np.random.default_rng(cfg.seed)
-        tuned.config = dataclasses.replace(model.config, c=c)
-        tuned.head_w = ad.parameter(xavier_uniform(rng, model.head_w.shape[0], c),
-                                    name="head.w")
-        tuned.head_b = ad.parameter(np.zeros(c), name="head.b")
-    tuned.registry = mm.build_registry(tuned)
+    c = target.num_classes
+    tuned = dataclasses.replace(model, config=dataclasses.replace(model.config, c=c),
+                                registry=dict(model.registry))
+    if c != model.config.c:
+        mm.init_head(tuned.registry, model.registry["head.w"].shape[0], c,
+                     np.random.default_rng(cfg.seed))
     return train(tuned, target, cfg, trainable={"head.w", "head.b"})

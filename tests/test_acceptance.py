@@ -30,6 +30,12 @@ GEN_EPOCHS = 40
 GEN_SEEDS = (0, 1, 2, 3, 4)
 
 
+def branches(model, k):
+    """Inception layer k's two (w1, b1, w2, b2) branches from the registry."""
+    return [tuple(model.registry[f"layer{k}.branch{b}.{n}"] for n in L.BRANCH_KEYS)
+            for b in (1, 2)]
+
+
 def check(num, name, condition):
     status = "PASS" if condition else "FAIL"
     print(f"[criterion {num:02d}] {name}: {status}")
@@ -100,15 +106,15 @@ class TestCriterion02ShapeLaw:
                     ok &= widths[k + 1] == sum(etas[k]) + widths[k]
                 model = mm.build_lgrin(cfg)
                 sample = dd.SequenceSample(rng.uniform(-1, 1, (6, 5)), 0, "s")
-                a_eff = adjmod.effective_adjacency(model.adjacency)
+                a_eff = adjmod.effective_adjacency(model.registry["adjacency.raw"])
                 mask = adjmod.neighbor_mask(a_eff)
                 h = ad.constant(sample.features)
-                for layer in model.layers:
-                    h = L.inception_layer(h, a_eff, layer, mask)
+                for k in range(layers):
+                    h = L.inception_layer(h, a_eff, *branches(model, k), mask)
                 ok &= h.shape == (6, widths[-1])
         facial = mm.build_lgrin(FACIAL)
         ok &= FACIAL.head_input_width() == 1560
-        ok &= facial.head_w.shape == (1560, 6)
+        ok &= facial.registry["head.w"].shape == (1560, 6)
         check(2, "inception shape law", ok)
 
 
@@ -127,7 +133,7 @@ class TestCriterion03LossOracles:
             brute = 0.0
             for i in range(m):
                 for j in range(m):
-                    brute += (w.lambda1 * a_d.values[i, j] * a[i, j]
+                    brute += (w.lambda1 * a_d[i, j] * a[i, j]
                               + w.lambda2 * a[i, j] * a[i, j])
             for i in range(m):
                 brute += w.lambda3 * p[i] * p[i]
@@ -248,7 +254,7 @@ class TestCriterion10FreezeContract:
         check(10, "fine-tune freeze contract",
               all(tuned.registry[name].values.tobytes() == blob
                   for name, blob in frozen.items())
-              and tuned.head_w.shape == (model.config.head_input_width(), 3))
+              and tuned.registry["head.w"].shape == (model.config.head_input_width(), 3))
 
 
 class TestCriterion11Schedule:

@@ -16,7 +16,7 @@ def learnable_raw(m, seed):
     """The raw adjacency parameter exactly as training starts from it."""
     config = ModelConfig(m=m, p=1, c=2, inception_layers=1, etas=[(1, 1)],
                          seed=seed)
-    return build_lgrin(config).adjacency.raw
+    return build_lgrin(config).registry["adjacency.raw"]
 
 
 class TestInitLearnable:
@@ -40,11 +40,11 @@ class TestInitLearnable:
 
 class TestEffectiveAdjacency:
     def test_negative_raw_rectified(self):
-        a = adj.LearnableAdjacency(ad.parameter(-np.eye(3)))
+        a = ad.parameter(-np.eye(3))
         npt.assert_array_equal(adj.effective_adjacency(a).values, np.zeros((3, 3)))
 
     def test_symmetrize_then_relu(self):
-        a = adj.LearnableAdjacency(ad.parameter([[0.0, 2.0], [0.0, 0.0]]))
+        a = ad.parameter([[0.0, 2.0], [0.0, 0.0]])
         npt.assert_array_equal(adj.effective_adjacency(a).values,
                                [[0.0, 1.0], [1.0, 0.0]])
 
@@ -52,19 +52,17 @@ class TestEffectiveAdjacency:
         rng = np.random.default_rng(0)
         for _ in range(25):
             raw = rng.normal(size=(6, 6)) * rng.uniform(0.1, 5)
-            eff = adj.effective_adjacency(
-                adj.LearnableAdjacency(ad.parameter(raw))).values
+            eff = adj.effective_adjacency(ad.parameter(raw)).values
             npt.assert_array_equal(eff, eff.T)
             assert eff.min() >= 0.0
 
     def test_gradient_reaches_raw(self):
         raw = ad.parameter([[1.0, -3.0], [2.0, 0.5]])
-        a = adj.LearnableAdjacency(raw)
         with ad.GradTape() as tape:
-            loss = ad.sum_all(adj.effective_adjacency(a))
+            loss = ad.sum_all(adj.effective_adjacency(raw))
         grads = ad.backward(loss, tape)
         # sym = [[1, -0.5], [-0.5, 0.5]]; only (0,0) and (1,1) survive relu
-        npt.assert_allclose(grads[raw].values, [[1.0, 0.0], [0.0, 1.0]])
+        npt.assert_allclose(grads[raw], [[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestFixedAdjacency:
@@ -147,20 +145,20 @@ class TestRenormalized:
 
 class TestStructureMatrix:
     def test_hand_3x3(self):
-        npt.assert_array_equal(adj.structure_matrix(3).values,
+        npt.assert_array_equal(adj.structure_matrix(3),
                                [[0, 1, 4], [1, 0, 1], [4, 1, 0]])
 
     def test_zero_diagonal(self):
-        npt.assert_array_equal(np.diag(adj.structure_matrix(7).values),
+        npt.assert_array_equal(np.diag(adj.structure_matrix(7)),
                                np.zeros(7))
 
     def test_extremal_corner(self):
         m = 11
-        assert adj.structure_matrix(m).values[0, m - 1] == (m - 1) ** 2
+        assert adj.structure_matrix(m)[0, m - 1] == (m - 1) ** 2
 
     def test_matches_double_loop(self):
         for m in (1, 2, 6, 13):
-            got = adj.structure_matrix(m).values
+            got = adj.structure_matrix(m)
             expected = np.empty((m, m))
             for i in range(m):
                 for j in range(m):
@@ -171,7 +169,7 @@ class TestStructureMatrix:
         # training reuses one matrix per M, so no caller may write into it
         assert adj.structure_matrix(9) is adj.structure_matrix(9)
         with pytest.raises(ValueError):
-            adj.structure_matrix(9).values[0, 1] = 5.0
+            adj.structure_matrix(9)[0, 1] = 5.0
 
 
 class TestNeighborMask:

@@ -8,6 +8,7 @@ import pytest
 
 from lgrin import autodiff as ad
 from lgrin.errors import ContractError, ShapeError
+from lgrin.training import registry_grads
 
 
 def grad_of(build, params):
@@ -41,8 +42,8 @@ class TestMatmul:
         a = ad.parameter([[1.0, 2.0], [3.0, 4.0]])
         b = ad.parameter([[5.0], [6.0]])
         _, grads = grad_of(lambda: ad.sum_all(ad.matmul(a, b)), [a, b])
-        npt.assert_array_equal(grads[a].values, [[5.0, 6.0], [5.0, 6.0]])
-        npt.assert_array_equal(grads[b].values, [[4.0], [6.0]])
+        npt.assert_array_equal(grads[a], [[5.0, 6.0], [5.0, 6.0]])
+        npt.assert_array_equal(grads[b], [[4.0], [6.0]])
 
 
 class TestRelu:
@@ -53,17 +54,17 @@ class TestRelu:
     def test_gradient_flat_region(self):
         x = ad.parameter([-1.0])
         _, grads = grad_of(lambda: ad.sum_all(ad.relu(x)), [x])
-        npt.assert_array_equal(grads[x].values, [0.0])
+        npt.assert_array_equal(grads[x], [0.0])
 
     def test_gradient_linear_region_with_upstream(self):
         x = ad.parameter([3.0])
         _, grads = grad_of(lambda: ad.sum_all(ad.scale(ad.relu(x), 2.0)), [x])
-        npt.assert_array_equal(grads[x].values, [2.0])
+        npt.assert_array_equal(grads[x], [2.0])
 
     def test_subgradient_at_zero_is_zero(self):
         x = ad.parameter([0.0])
         _, grads = grad_of(lambda: ad.sum_all(ad.relu(x)), [x])
-        npt.assert_array_equal(grads[x].values, [0.0])
+        npt.assert_array_equal(grads[x], [0.0])
 
 
 class TestConcat:
@@ -91,8 +92,8 @@ class TestConcat:
         _, grads = grad_of(
             lambda: ad.sum_all(ad.mul(ad.concat_features([a, b]), weights)),
             [a, b])
-        npt.assert_array_equal(grads[a].values, [[0, 1], [5, 6]])
-        npt.assert_array_equal(grads[b].values, [[2, 3, 4], [7, 8, 9]])
+        npt.assert_array_equal(grads[a], [[0, 1], [5, 6]])
+        npt.assert_array_equal(grads[b], [[2, 3, 4], [7, 8, 9]])
 
     def test_row_mismatch(self):
         with pytest.raises(ShapeError):
@@ -135,7 +136,7 @@ class TestNeighborhoodMax:
             lambda: ad.sum_all(ad.neighborhood_max(h, np.ones((3, 3), bool))),
             [h])
         # all three rows see the tie between rows 0 and 1; row 0 wins
-        npt.assert_array_equal(grads[h].values, [[3.0], [0.0], [0.0]])
+        npt.assert_array_equal(grads[h], [[3.0], [0.0], [0.0]])
 
     def test_gradient_against_brute_force(self):
         rng = np.random.default_rng(3)
@@ -155,7 +156,7 @@ class TestNeighborhoodMax:
             lambda: ad.sum_all(ad.mul(ad.neighborhood_max(ht, mask),
                                       ad.constant(weights))), [ht])
         fd = ad.finite_difference(loss_value, h.copy())
-        npt.assert_allclose(grads[ht].values, fd, rtol=1e-6, atol=1e-9)
+        npt.assert_allclose(grads[ht], fd, rtol=1e-6, atol=1e-9)
 
 
 class TestReadout:
@@ -214,8 +215,8 @@ class TestWeightedReadout:
         h = ad.parameter([[1.0, 2.0], [3.0, 4.0]])
         p = ad.parameter([2.0, -1.0])
         _, grads = grad_of(lambda: ad.sum_all(ad.weighted_readout(h, p)), [h, p])
-        npt.assert_array_equal(grads[h].values, [[2.0, 2.0], [-1.0, -1.0]])
-        npt.assert_array_equal(grads[p].values, [3.0, 7.0])
+        npt.assert_array_equal(grads[h], [[2.0, 2.0], [-1.0, -1.0]])
+        npt.assert_array_equal(grads[p], [3.0, 7.0])
 
 
 class TestCrossEntropy:
@@ -243,7 +244,7 @@ class TestCrossEntropy:
         exps = np.exp(logits.values - logits.values.max())
         expected = exps / exps.sum()
         expected[1] -= 1.0
-        npt.assert_allclose(grads[logits].values, expected, rtol=1e-12)
+        npt.assert_allclose(grads[logits], expected, rtol=1e-12)
 
     def test_large_logits_stay_finite(self):
         loss = ad.cross_entropy_logits(ad.constant([1e8, -1e8, 0.0]), 1)
@@ -254,24 +255,27 @@ class TestBackward:
     def test_sum_gives_ones(self):
         w = ad.parameter(np.arange(6.0).reshape(2, 3))
         _, grads = grad_of(lambda: ad.sum_all(w), [w])
-        npt.assert_array_equal(grads[w].values, np.ones((2, 3)))
+        npt.assert_array_equal(grads[w], np.ones((2, 3)))
 
     def test_frobenius_square_gives_2w(self):
         rng = np.random.default_rng(5)
         wv = rng.normal(size=(3, 3))
         w = ad.parameter(wv)
         _, grads = grad_of(lambda: ad.sum_all(ad.mul(w, w)), [w])
-        npt.assert_allclose(grads[w].values, 2.0 * wv, rtol=1e-15)
+        npt.assert_allclose(grads[w], 2.0 * wv, rtol=1e-15)
 
     def test_off_path_parameter_gets_zeros(self):
         used = ad.parameter(np.ones(3))
         unused = ad.parameter(np.ones(2))
         with ad.GradTape() as tape:
-            ad.sum_all(unused)  # registers it as a leaf on the tape
+            ad.sum_all(unused)  # on the tape, but off the loss's path
             loss = ad.sum_all(used)
         grads = ad.backward(loss, tape)
-        npt.assert_array_equal(grads[unused].values, np.zeros(2))
-        npt.assert_array_equal(grads[used].values, np.ones(3))
+        assert list(grads) == [used]
+        # the optimizer's view: every registry entry, zeros where unreached
+        arrays = registry_grads({"used": used, "unused": unused}, grads)
+        npt.assert_array_equal(arrays["unused"], np.zeros(2))
+        npt.assert_array_equal(arrays["used"], np.ones(3))
 
     def test_non_scalar_loss_rejected(self):
         w = ad.parameter(np.ones(3))
@@ -287,7 +291,7 @@ class TestBackward:
             return ad.add(ad.sum_all(ad.mul(w, w)), ad.sum_all(w))
 
         _, grads = grad_of(build, [w])
-        npt.assert_allclose(grads[w].values, [5.0])  # 2w + 1
+        npt.assert_allclose(grads[w], [5.0])  # 2w + 1
 
     def test_composite_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -316,8 +320,8 @@ class TestBackward:
                 return float((h * h).sum() + ce)
 
             fd = ad.finite_difference(loss_w, wv.copy())
-            rel = np.abs(grads[w].values - fd) / np.maximum(
-                np.maximum(np.abs(fd), np.abs(grads[w].values)), 1e-3)
+            rel = np.abs(grads[w] - fd) / np.maximum(
+                np.maximum(np.abs(fd), np.abs(grads[w])), 1e-3)
             assert rel.max() < 1e-4
 
 
@@ -348,21 +352,26 @@ class TestTapeMechanics:
         a = ad.parameter(np.ones(2))
         b = ad.parameter(np.ones(2))
         with ad.GradTape() as tape:
-            ad.add(ad.mul(a, b), a)  # a used twice
-        assert tape.leaf_params == [a, b]
+            loss = ad.sum_all(ad.add(ad.mul(a, b), a))  # a used twice
+        grads = ad.backward(loss, tape)
+        # only leaves remain, each once, in the order the reverse pass
+        # first reached them; a's two uses are summed
+        assert list(grads) == [a, b]
+        npt.assert_array_equal(grads[a], [2.0, 2.0])
 
     def test_nodes_topologically_ordered(self):
         a = ad.parameter(np.ones(2))
         with ad.GradTape() as tape:
             out = ad.relu(ad.mul(a, a))
             ad.sum_all(out)
+        outputs = {id(node.output) for node in tape.nodes}
         produced = set()
         for node in tape.nodes:
             for t in node.inputs:
-                assert t.tape is not tape or id(t) in produced
+                assert id(t) not in outputs or id(t) in produced
             produced.add(id(node.output))
 
     def test_no_tape_forward_still_computes(self):
         out = ad.relu(ad.constant([-1.0, 1.0]))
         npt.assert_array_equal(out.values, [0.0, 1.0])
-        assert out.tape is None
+        assert ad.active_tape() is None and not out.requires_grad

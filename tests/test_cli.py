@@ -1,6 +1,10 @@
 """Command-line front end tests: exit codes, emitted artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -262,9 +266,50 @@ class TestInspect:
                    "--what", "salient") == 1
 
 
+class TestDeterminism:
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: with 2 OpenBLAS threads the (90, F) @ (F, 90) matmul "
+        "behind the adjacency gradient rounds differently (~1e-16), and the "
+        "second Adam step carries that into adjacency.raw; a one-step run "
+        "would hide it"))
+    def test_blas_thread_count_keeps_checkpoint_bytes(self, tmp_path):
+        # one facial-scale training epoch of two Adam steps, once with 1 and
+        # once with 2 BLAS threads, each in its own process (BLAS reads the
+        # count at import)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            config = tmp_path / f"threads{threads}.json"
+            config.write_text(json.dumps({
+                "model": {"m": 90, "p": 136, "c": 3, "seed": 0},
+                "train": {"epochs": 1, "batch_size": 4, "seed": 0},
+                "data": {"synth": {"num_classes": 3, "per_class": 2, "m": 90,
+                                   "p": 136, "noise": 0.3, "seed": 1}},
+                "output_dir": str(out)}))
+            env = {**os.environ, "PYTHONPATH": pythonpath,
+                   **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS"), threads)}
+            subprocess.run([sys.executable, "-m", "lgrin.cli", "train",
+                            "--config", str(config)],
+                           env=env, check=True, capture_output=True)
+            blobs.append((out / "checkpoint.npz").read_bytes())
+        assert blobs[0] == blobs[1]
+
+
 def one_line_error(capsys, expected):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and expected in err, err
+
+
+def checkpoint_arrays(ckpt):
+    with np.load(ckpt) as zf:
+        return {key: zf[key] for key in zf.files}
+
+
+def write_meta(path, arrays, text):
+    np.savez(path, **{**arrays, "meta": np.array(text)})
 
 
 class TestBadInputs:
@@ -272,17 +317,31 @@ class TestBadInputs:
         (lambda meta: meta.update(arch="transformer"), "unknown arch 'transformer'"),
         (lambda meta: meta.pop("arch"), "no 'arch'"),
         (lambda meta: meta.pop("config"), "no 'config'"),
-    ], ids=["unknown-arch", "no-arch", "no-config"])
+        (lambda meta: meta["config"].update(frobnicate=1), "bad checkpoint config"),
+    ], ids=["unknown-arch", "no-arch", "no-config", "unknown-config-key"])
     def test_checkpoint_meta(self, trained, dataset_dir, tmp_path, capsys,
                              edit, expected):
         ckpt, _ = trained
-        with np.load(ckpt) as zf:
-            arrays = {key: zf[key] for key in zf.files}
+        arrays = checkpoint_arrays(ckpt)
         meta = json.loads(str(arrays["meta"]))
         edit(meta)
-        arrays["meta"] = np.array(json.dumps(meta))
         bad = tmp_path / "bad.npz"
-        np.savez(bad, **arrays)
+        write_meta(bad, arrays, json.dumps(meta))
+        assert run("eval", "--checkpoint", str(bad),
+                   "--data", str(dataset_dir / "manifest.json")) == 1
+        one_line_error(capsys, expected)
+
+    @pytest.mark.parametrize("write, expected", [
+        (lambda path, arrays: write_meta(path, arrays, "{not json"),
+         "checkpoint meta is not JSON"),
+        (lambda path, arrays: path.write_text("not a zip archive\n"),
+         "not a model checkpoint"),
+    ], ids=["meta-not-json", "not-npz"])
+    def test_checkpoint_file(self, trained, dataset_dir, tmp_path, capsys,
+                             write, expected):
+        ckpt, _ = trained
+        bad = tmp_path / "bad.npz"
+        write(bad, checkpoint_arrays(ckpt))
         assert run("eval", "--checkpoint", str(bad),
                    "--data", str(dataset_dir / "manifest.json")) == 1
         one_line_error(capsys, expected)
@@ -290,7 +349,11 @@ class TestBadInputs:
     @pytest.mark.parametrize("override, expected", [
         ("model.etas=5", "bad model section"),
         ("model=3", "model section must be a JSON object"),
-    ], ids=["etas-not-pairs", "section-not-object"])
+        ("train.epochs=1.5", "epochs must be an integer, got 1.5"),
+        ("train.batch_size=2.5", "batch_size must be an integer, got 2.5"),
+        ("model.m=6.5", "m must be an integer, got 6.5"),
+    ], ids=["etas-not-pairs", "section-not-object", "fractional-epochs",
+            "fractional-batch-size", "fractional-m"])
     def test_model_override(self, run_config, capsys, override, expected):
         assert run("train", "--config", str(run_config),
                    "--override", override) == 1
@@ -299,7 +362,9 @@ class TestBadInputs:
     @pytest.mark.parametrize("grid, expected", [
         ('{"layers": 2}', "must be a list"),
         ('{"lambdas": [[0.1, 0.1]]}', "must hold 3 numbers"),
-    ], ids=["value-not-list", "short-lambdas"])
+        ('{"etas": [5]}', "each grid etas entry must hold 2 integers"),
+        ('{"layers": ["two"]}', "each grid layers entry must be an integer"),
+    ], ids=["value-not-list", "short-lambdas", "etas-not-pair", "layers-not-int"])
     def test_ablate_grid(self, tmp_path, run_config, capsys, grid, expected):
         assert run("ablate", "--config", str(run_config), "--grid", grid,
                    "--out", str(tmp_path / "grid.csv")) == 1

@@ -63,6 +63,21 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="label"):
             dd.load_dataset(manifest)
 
+    def test_num_classes_not_integer(self, tmp_path):
+        manifest = write_dataset(tmp_path, [[[1, 2, 3]]], [0], num_classes="two")
+        with pytest.raises(DataError, match="must be integers"):
+            dd.load_dataset(manifest)
+
+    def test_features_outside_dataset_directory(self, tmp_path):
+        (tmp_path / "ds").mkdir()
+        manifest = write_dataset(tmp_path / "ds", [[[1, 2, 3]]], [0])
+        (tmp_path / "outside.csv").write_text("1,2,3\n")
+        doc = json.loads(manifest.read_text())
+        doc["samples"][0]["features"] = "../outside.csv"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="outside the dataset directory"):
+            dd.load_dataset(manifest)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
             dd.load_dataset(tmp_path / "nope.json")

@@ -10,19 +10,28 @@ from lgrin import adjacency as adj
 from lgrin import autodiff as ad
 from lgrin import layers as L
 from lgrin.errors import ContractError
+from lgrin.model import ModelConfig, build_lgrin
 
 
 def identity_mlp(width):
-    return L.MlpParams(w1=ad.constant(np.eye(width)),
-                       b1=ad.constant(np.zeros(width)),
-                       w2=ad.constant(np.eye(width)),
-                       b2=ad.constant(np.zeros(width)))
+    return (ad.constant(np.eye(width)), ad.constant(np.zeros(width)),
+            ad.constant(np.eye(width)), ad.constant(np.zeros(width)))
+
+
+def initial_pooling(m):
+    """The pooling weights exactly as training starts from them."""
+    config = ModelConfig(m=m, p=1, c=2, inception_layers=1, etas=[(1, 1)])
+    return build_lgrin(config).registry["pooling.p"]
+
+
+def init_layer(f_in, etas, rng):
+    return [L.init_branch(f_in, eta, rng) for eta in etas]
 
 
 class TestGstarConv:
     def test_zero_adjacency_zero_biases(self):
         rng = np.random.default_rng(0)
-        mlp = L.MlpParams.init(3, 4, rng)
+        mlp = L.init_branch(3, 4, rng)
         h = ad.constant(rng.normal(size=(5, 3)))
         out = L.gstar_conv(h, ad.constant(np.zeros((5, 5))), mlp)
         npt.assert_array_equal(out.values, np.zeros((5, 4)))
@@ -43,14 +52,14 @@ class TestGstarConv:
     def test_output_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            mlp = L.MlpParams.init(4, 6, rng)
+            mlp = L.init_branch(4, 6, rng)
             h = ad.constant(rng.normal(size=(5, 4)))
             a = ad.constant(np.abs(rng.normal(size=(5, 5))))
             assert L.gstar_conv(h, a, mlp).values.min() >= 0.0
 
     def test_output_width_is_eta(self):
         rng = np.random.default_rng(3)
-        mlp = L.MlpParams.init(7, 11, rng)
+        mlp = L.init_branch(7, 11, rng)
         out = L.gstar_conv(ad.constant(np.zeros((4, 7))),
                            ad.constant(np.zeros((4, 4))), mlp)
         assert out.shape == (4, 11)
@@ -58,13 +67,13 @@ class TestGstarConv:
 
 class TestInceptionLayer:
     def make_layer(self, f_in, etas, seed=0):
-        return L.InceptionParams.init(f_in, etas, np.random.default_rng(seed))
+        return init_layer(f_in, etas, np.random.default_rng(seed))
 
     def test_facial_width_law(self):
         m, p = 9, 136
         layer = self.make_layer(p, (128, 64))
         out = L.inception_layer(ad.constant(np.zeros((m, p))),
-                                ad.constant(np.zeros((m, m))), layer,
+                                ad.constant(np.zeros((m, m))), *layer,
                                 np.eye(m, dtype=bool))
         assert out.shape == (m, 128 + 64 + p)
 
@@ -74,9 +83,9 @@ class TestInceptionLayer:
         h = ad.constant(rng.normal(size=(m, 136)))
         a = ad.constant(np.abs(rng.normal(size=(m, m))))
         mask = np.ones((m, m), bool)
-        h1 = L.inception_layer(h, a, self.make_layer(136, (128, 64)), mask)
+        h1 = L.inception_layer(h, a, *self.make_layer(136, (128, 64)), mask)
         assert h1.shape == (m, 328)
-        h2 = L.inception_layer(h1, a, self.make_layer(328, (128, 64)), mask)
+        h2 = L.inception_layer(h1, a, *self.make_layer(328, (128, 64)), mask)
         assert h2.shape == (m, 520)
 
     def test_width_law_generic(self):
@@ -84,7 +93,7 @@ class TestInceptionLayer:
         for f_in, etas in [(10, (16, 32)), (5, (3, 7)), (2, (1, 1))]:
             layer = self.make_layer(f_in, etas)
             out = L.inception_layer(ad.constant(np.zeros((m, f_in))),
-                                    ad.constant(np.zeros((m, m))), layer,
+                                    ad.constant(np.zeros((m, m))), *layer,
                                     np.eye(m, dtype=bool))
             assert out.shape == (m, etas[0] + etas[1] + f_in)
 
@@ -94,7 +103,7 @@ class TestInceptionLayer:
         layer = self.make_layer(4, (8, 3))
         out = L.inception_layer(ad.constant(h),
                                 ad.constant(np.abs(rng.normal(size=(6, 6)))),
-                                layer, np.eye(6, dtype=bool))
+                                *layer, np.eye(6, dtype=bool))
         npt.assert_array_equal(out.values[:, 11:], h)
 
     def test_fully_connected_max_branch_is_global(self):
@@ -103,7 +112,7 @@ class TestInceptionLayer:
         a = np.abs(rng.normal(size=(6, 6))) + 0.1  # strictly positive
         mask = adj.neighbor_mask(ad.constant(a), 0.0)
         layer = self.make_layer(4, (2, 2))
-        out = L.inception_layer(ad.constant(h), ad.constant(a), layer, mask)
+        out = L.inception_layer(ad.constant(h), ad.constant(a), *layer, mask)
         npt.assert_array_equal(out.values[:, 4:],
                                np.tile(h.max(axis=0), (6, 1)))
 
@@ -112,13 +121,13 @@ class TestPoolingLayer:
     def test_learnable_full_width(self):
         q = 520
         h = ad.constant(np.zeros((7, q)))
-        pool = L.PoolingParams.init(7)
+        pool = initial_pooling(7)
         assert L.pooling_layer(h, pool, "learnable_full").shape == (3 * q,)
 
     def test_constant_rows_with_zero_weights(self):
         v = np.array([2.0, -1.0, 0.5])
         h = ad.constant(np.tile(v, (4, 1)))
-        pool = L.PoolingParams(p=ad.constant(np.zeros(4)))
+        pool = ad.constant(np.zeros(4))
         out = L.pooling_layer(h, pool, "learnable_full").values
         npt.assert_array_equal(out, np.concatenate([v, np.zeros(3), v]))
 
@@ -130,14 +139,14 @@ class TestPoolingLayer:
     def test_first_q_slots_are_the_max_readout(self):
         rng = np.random.default_rng(7)
         h = rng.normal(size=(5, 9))
-        pool = L.PoolingParams.init(5)
+        pool = initial_pooling(5)
         full = L.pooling_layer(ad.constant(h), pool, "learnable_full").values
         npt.assert_array_equal(full[:9], ad.readout(ad.constant(h), "max").values)
 
     def test_initial_weighted_slot_equals_mean(self):
         rng = np.random.default_rng(8)
         h = rng.normal(size=(6, 4))
-        pool = L.PoolingParams.init(6)  # starts at 1/M
+        pool = initial_pooling(6)  # starts at 1/M
         full = L.pooling_layer(ad.constant(h), pool, "learnable_full").values
         npt.assert_allclose(full[4:8], h.mean(axis=0), rtol=1e-12)
 
@@ -177,14 +186,14 @@ class TestLayerGradients:
         # checker does: central differences are invalid at ReLU/max kinks
         for seed in range(10, 40):
             rng = np.random.default_rng(seed)
-            layer = L.InceptionParams.init(f_in, (5, 2), rng, prefix="lay")
+            layer = init_layer(f_in, (5, 2), rng)
             hv = rng.uniform(-2, 2, size=(m, f_in))
             av = np.abs(rng.normal(size=(m, m))) + 0.05
             mask = np.ones((m, m), bool)
             coefs = rng.normal(size=(m, 5 + 2 + f_in))
             with ad.GradTape(track_kinks=True) as tape:
                 out = L.inception_layer(ad.constant(hv), ad.constant(av),
-                                        layer, mask)
+                                        *layer, mask)
                 loss = ad.sum_all(ad.mul(out, ad.constant(coefs)))
             if tape.kink_margin() > 1e-3:
                 break
@@ -192,16 +201,16 @@ class TestLayerGradients:
             pytest.fail("no kink-free point found")
         grads = ad.backward(loss, tape)
 
-        params = {f"b1.{n}": t for n, t in layer.branch1.tensors()}
-        params.update({f"b2.{n}": t for n, t in layer.branch2.tensors()})
+        params = {f"b{b}.{n}": t for b, branch in enumerate(layer, start=1)
+                  for n, t in zip(L.BRANCH_KEYS, branch)}
 
         def loss_value(_):
-            out = L.inception_layer(ad.constant(hv), ad.constant(av), layer, mask)
+            out = L.inception_layer(ad.constant(hv), ad.constant(av), *layer, mask)
             return ad.sum_all(ad.mul(out, ad.constant(coefs))).item()
 
         for name, tensor in params.items():
             fd = ad.finite_difference(loss_value, tensor.values)
-            analytic = grads[tensor].values
+            analytic = grads[tensor]
             rel = np.abs(analytic - fd) / np.maximum(
                 np.maximum(np.abs(analytic), np.abs(fd)), 1e-3)
             assert rel.max() < 1e-4, name

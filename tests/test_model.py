@@ -33,11 +33,14 @@ def logits(model, sample):
 
 def final_embeddings(model, sample):
     """The last inception layer's output, stacked by hand (learnable mode)."""
-    a_eff = adj.effective_adjacency(model.adjacency)
+    reg = model.registry
+    a_eff = adj.effective_adjacency(reg["adjacency.raw"])
     mask = adj.neighbor_mask(a_eff, model.config.mask_threshold)
     h = ad.constant(sample.features)
-    for layer in model.layers:
-        h = L.inception_layer(h, a_eff, layer, mask)
+    for k in range(model.config.inception_layers):
+        branches = [tuple(reg[f"layer{k}.branch{b}.{n}"] for n in L.BRANCH_KEYS)
+                    for b in (1, 2)]
+        h = L.inception_layer(h, a_eff, *branches, mask)
     return h.values
 
 
@@ -70,7 +73,7 @@ class TestModelConfig:
 class TestBuild:
     def test_facial_head_width(self):
         model = mm.build_lgrin(mm.ModelConfig(**FACIAL))
-        assert model.head_w.shape == (1560, 6)
+        assert model.registry["head.w"].shape == (1560, 6)
 
     def test_deterministic_registries(self):
         a = mm.build_lgrin(small_config(seed=9))
@@ -87,7 +90,6 @@ class TestBuild:
     def test_fixed_pooling_has_no_p(self):
         model = mm.build_lgrin(small_config(pooling_mode="max"))
         assert "pooling.p" not in model.registry
-        assert model.pooling is None
 
     def test_registry_entries_unique(self):
         model = mm.build_lgrin(small_config())
@@ -98,11 +100,11 @@ class TestBuild:
 
     def test_xavier_bounds(self):
         model = mm.build_lgrin(small_config())
-        w1 = model.layers[0].branch1.w1.values
+        w1 = model.registry["layer0.branch1.w1"].values
         bound = np.sqrt(6.0 / (5 + 8))
         assert np.all(np.abs(w1) <= bound)
-        npt.assert_array_equal(model.head_b.values, np.zeros(3))
-        npt.assert_allclose(model.pooling.p.values, np.full(6, 1 / 6))
+        npt.assert_array_equal(model.registry["head.b"].values, np.zeros(3))
+        npt.assert_allclose(model.registry["pooling.p"].values, np.full(6, 1 / 6))
 
 
 class TestForward:
@@ -134,7 +136,7 @@ class TestForward:
 
     def test_weighted_adjacency_mode(self):
         model = mm.build_lgrin(small_config(adjacency_mode="weighted"))
-        assert model.adjacency is None
+        assert model.graph is None and "adjacency.raw" not in model.registry
         out = logits(model, random_sample(model.config))
         assert out.shape == (3,) and np.all(np.isfinite(out.values))
 
@@ -149,8 +151,8 @@ class TestForward:
 
             perm = np.random.default_rng(5).permutation(cfg.m)
             permuted_model = mm.build_lgrin(cfg)
-            raw = model.adjacency.raw.values
-            permuted_model.adjacency.raw.values[...] = raw[np.ix_(perm, perm)]
+            raw = model.registry["adjacency.raw"].values
+            permuted_model.registry["adjacency.raw"].values[...] = raw[np.ix_(perm, perm)]
             s_perm = SequenceSample(s.features[perm], s.label, s.id)
             out = logits(permuted_model, s_perm).values
             npt.assert_allclose(out, base, rtol=1e-12, atol=1e-12)
@@ -232,7 +234,7 @@ class TestSalientNode:
 class TestBaselineGcn:
     def test_head_width(self):
         model = mm.build_baseline_gcn(small_config())
-        assert model.head_w.shape == (128, 3)
+        assert model.registry["head.w"].shape == (128, 3)
 
     def test_registry_excludes_adjacency_and_pooling(self):
         model = mm.build_baseline_gcn(small_config())

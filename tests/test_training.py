@@ -1,5 +1,8 @@
 """Optimizer, schedule, loop, evaluation, gradient-check, fine-tune tests."""
 
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +12,7 @@ from lgrin import data as dd
 from lgrin import model as mm
 from lgrin import training as tr
 from lgrin.errors import ConfigError, ContractError
+from lgrin.objective import LossWeights, classification_loss, total_loss
 
 
 def small_config(**overrides):
@@ -219,7 +223,7 @@ class TestFineTuneHead:
         tuned, _ = tr.fine_tune_head(model, target,
                                      tr.TrainConfig(epochs=2, seed=0))
         d_h = model.config.head_input_width()
-        assert tuned.head_w.shape == (d_h, 3)
+        assert tuned.registry["head.w"].shape == (d_h, 3)
         assert tuned.config.c == 3
 
     def test_baseline_gcn_head_reshaped_for_new_class_count(self):
@@ -230,7 +234,7 @@ class TestFineTuneHead:
         target = small_dataset(classes=3, per_class=4, seed=21)
         tuned, _ = tr.fine_tune_head(model, target,
                                      tr.TrainConfig(epochs=2, seed=0))
-        assert tuned.head_w.shape == (128, 3)
+        assert tuned.registry["head.w"].shape == (128, 3)
         assert tuned.config.c == 3
         for name, blob in frozen.items():
             assert tuned.registry[name].values.tobytes() == blob
@@ -252,3 +256,25 @@ class TestFineTuneHead:
         with pytest.raises(ConfigError):
             tr.fine_tune_head(model, small_dataset(m=9),
                               tr.TrainConfig(epochs=1))
+
+
+class TestTapeLifetime:
+    def test_tape_freed_without_cycle_collector(self):
+        # tensors never point back at their tape, so reference counting
+        # alone frees a dropped tape while its loss, logits and gradients
+        # are still held
+        model = mm.build_lgrin(small_config())
+        samples = [dd.pad_or_truncate(s, 8) for s in small_dataset().samples[:3]]
+        gc.disable()
+        try:
+            with ad.GradTape() as tape:
+                a_eff, logits = mm.forward_shared(model, samples)
+                loss = total_loss(classification_loss(logits, [s.label for s in samples]),
+                                  mm.graph_loss(model, a_eff, LossWeights()))
+            grads = ad.backward(loss, tape)
+            freed = weakref.ref(tape)
+            del tape
+            assert freed() is None
+            assert set(grads) == set(model.registry.values())
+        finally:
+            gc.enable()
