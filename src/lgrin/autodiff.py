@@ -315,26 +315,47 @@ def _distinct_top_gap(mat: np.ndarray) -> float:
     return float((top[finite] - second[finite]).min())
 
 
+def _unordered_ties(values: np.ndarray) -> bool:
+    """True if equal entries may differ in their bits (-0.0 vs 0.0, NaNs).
+
+    Only then does the choice among tied entries show in a max's output.
+    """
+    return bool(np.isnan(values).any() or (np.signbit(values) & (values == 0.0)).any())
+
+
 def neighborhood_max(h: Tensor, neighbor_mask: np.ndarray) -> Tensor:
     """Row i of the output is the columnwise max of h over i's neighborhood.
 
     ``neighbor_mask`` is a boolean (M, M) array; every row must select at
-    least one neighbor. Gradient routes to the argmax entry per (row,
-    feature), lowest node index on ties.
+    least one neighbor. Ties go to the lowest node index, signed zeros
+    included: the output copies that entry and the gradient routes to it
+    per (row, feature). The per-node argmax is taken only when it matters:
+    when a gradient will be routed (``h`` requires grad on an active tape),
+    when a kink-tracking tape needs the tie margins, or when ``h`` holds
+    -0.0 or NaN. Otherwise a plain max per node gives the same bits.
     """
     hv = h.values
     m, f = hv.shape
     mask = np.asarray(neighbor_mask, dtype=bool)
     if mask.shape != (m, m):
         raise ShapeError(f"mask shape {mask.shape} does not match node count {m}")
+    empty = np.flatnonzero(~mask.any(axis=1))
+    if empty.size:
+        raise ContractError(f"empty neighborhood for node {empty[0]}")
     out = np.empty_like(hv)
+    tape = active_tape()
+    if not ((tape is not None and (h.requires_grad or tape.track_kinks))
+            or _unordered_ties(hv)):
+        for i in range(m):
+            out[i] = hv[mask[i]].max(axis=0)
+        # still one tape node per op; h gets no gradient through it
+        return _emit((h,), out, lambda g: (None,))
+
     arg = np.empty((m, f), dtype=np.intp)
     cols = np.arange(f)
     tracker = _tracking_tape()
     for i in range(m):
         rows = np.flatnonzero(mask[i])
-        if rows.size == 0:
-            raise ContractError(f"empty neighborhood for node {i}")
         sub = hv[rows]
         k = sub.argmax(axis=0)
         out[i] = sub[k, cols]
@@ -345,12 +366,11 @@ def neighborhood_max(h: Tensor, neighbor_mask: np.ndarray) -> Tensor:
                 tracker.max_margin = gap
 
     def back(g: np.ndarray):
-        gh = np.zeros_like(hv)
-        for i in range(m):
-            # index pairs (arg[i][j], j) are unique within a row, so plain
-            # fancy accumulation is exact
-            gh[arg[i], cols] += g[i]
-        return (gh,)
+        # bincount adds each (row, feature) cell's terms in output-row
+        # order, as the per-node reference in tests/test_properties.py does
+        gh = np.bincount((arg * f + cols).ravel(), weights=g.ravel(),
+                         minlength=m * f)
+        return (gh.reshape(m, f),)
 
     return _emit((h,), out, back)
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import model as mm
 from . import training as tr
-from .data import (GraphDataset, SynthSpec, cv_split, load_dataset,
-                   pad_or_truncate, save_dataset, synth_generate)
+from .data import (GraphDataset, SynthSpec, atomic_write, cv_split,
+                   load_dataset, pad_or_truncate, save_dataset, synth_generate)
 from .errors import (ConfigError, ContractError, DataError, LgrinError,
                      NumericalError, SplitError, is_int)
 from .objective import LossWeights
@@ -174,9 +174,9 @@ def cmd_train(args) -> int:
     echo = {k: v for k, v in doc.items() if k != "_base_dir"}
     report_doc = {"report": report.to_dict(), "run_config": echo,
                   "parameter_count": mm.parameter_count(model)}
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report_doc, indent=2) + "\n",
-                           encoding="utf-8")
+    report_text = json.dumps(report_doc, indent=2) + "\n"
+    report_path = atomic_write(out_dir / "report.json",
+                               lambda fh: fh.write(report_text.encode("utf-8")))
     print(f"checkpoint: {ckpt}")
     print(f"report: {report_path}")
     print(f"final train accuracy: {report.final_accuracy:.4f}")

@@ -9,8 +9,10 @@ downstream by padding or truncating every sample to the shared node count.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -129,12 +131,42 @@ def load_dataset(manifest_path: str | Path) -> GraphDataset:
     return ds.validate()
 
 
+def atomic_write(path: str | Path, write: Callable[[BinaryIO], None]) -> Path:
+    """Write a file through a temp file in its directory and ``os.replace``.
+
+    Readers see either the previous file or the complete new one. If
+    ``write`` raises, the previous file is left as it was and the temp
+    file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def save_dataset(ds: GraphDataset, out_dir: str | Path, force: bool = False) -> Path:
     """Write manifest + per-sample CSVs; returns the manifest path.
 
     Numbers are written with 17 significant digits so a reload reproduces
-    the float64 values exactly.
+    the float64 values exactly. Each sample's CSV is named after its id, so
+    ids must be distinct plain file names.
     """
+    seen: set[str] = set()
+    for s in ds.samples:
+        sid = str(s.id)
+        if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
+            raise DataError(f"{ds.name}: sample id {sid!r} is not a plain file name")
+        if sid in seen:
+            raise DataError(f"{ds.name}: sample id {sid!r} repeats")
+        seen.add(sid)
     out_dir = Path(out_dir)
     manifest_path = out_dir / "manifest.json"
     if manifest_path.exists() and not force:

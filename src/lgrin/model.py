@@ -27,7 +27,7 @@ from . import adjacency as adjmod
 from . import autodiff as ad
 from . import layers as L
 from .autodiff import Tensor
-from .data import SequenceSample
+from .data import SequenceSample, atomic_write
 from .errors import ConfigError, ContractError, ShapeError, check_int_fields
 from .objective import LossWeights, graph_learning_loss
 
@@ -299,15 +299,16 @@ def save_checkpoint(model: LGrinModel, path: str | Path) -> Path:
     Layout: key "meta" holds a JSON string with format name, version,
     architecture, and the model config; every parameter is stored as
     float64 under "param/<registry name>". Loading reproduces forward
-    passes bit-exactly.
+    passes bit-exactly. The file is written atomically at exactly ``path``
+    (no ``.npz`` suffix is appended).
     """
     path = Path(path)
     meta = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
             "arch": model.arch, "config": model.config.to_dict()}
-    arrays = {f"param/{name}": t.values for name, t in model.registry.items()}
+    arrays = {"meta": np.array(json.dumps(meta)),
+              **{f"param/{name}": t.values for name, t in model.registry.items()}}
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
-    return path
+    return atomic_write(path, lambda fh: np.savez(fh, **arrays))
 
 
 def load_checkpoint(path: str | Path) -> LGrinModel:

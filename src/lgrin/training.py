@@ -10,6 +10,7 @@ given (model seed, data, train config).
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -185,16 +186,20 @@ def train(model: mm.LGrinModel, dataset: GraphDataset, cfg: TrainConfig,
         order = rng.permutation(n)
         epoch_loss = 0.0
         correct = 0
-        for start in range(0, n, cfg.batch_size):
+        for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
             batch = [padded[i] for i in idx]
             batch_labels = [labels[i] for i in idx]
             with GradTape() as tape:
                 total, logits = _batch_objective(model, batch, batch_labels,
                                                  cfg.loss_weights)
+            step_loss = total.item()
+            if not math.isfinite(step_loss):
+                raise NumericalError(f"loss became non-finite ({step_loss}) at "
+                                     f"epoch {epoch}, batch {batch_index}")
             grads = registry_grads(sub_registry, ad.backward(total, tape))
             adam_step(sub_registry, grads, state, lr, cfg)
-            epoch_loss += total.item()
+            epoch_loss += step_loss
             correct += sum(int(lg.values.argmax()) == y
                            for lg, y in zip(logits, batch_labels))
         for name, tensor in model.registry.items():

@@ -76,7 +76,8 @@ class TestSynth:
 class TestTrain:
     def test_happy_path_artifacts(self, trained):
         ckpt, report = trained
-        assert ckpt.is_file() and report.is_file()
+        assert sorted(p.name for p in ckpt.parent.iterdir()) == [
+            "checkpoint.npz", "report.json"]
         doc = json.loads(report.read_text())
         assert len(doc["report"]["loss_curve"]) == 4
         assert doc["parameter_count"] > 0

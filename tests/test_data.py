@@ -100,6 +100,38 @@ class TestLoadDataset:
             dd.save_dataset(ds, tmp_path / "out")
         dd.save_dataset(ds, tmp_path / "out", force=True)
 
+    def test_atomic_write_failure_keeps_previous_file(self, tmp_path):
+        path = dd.atomic_write(tmp_path / "f.txt", lambda fh: fh.write(b"old"))
+
+        def write_then_fail(fh):
+            fh.write(b"new, but only ha")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            dd.atomic_write(path, write_then_fail)
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+        dd.atomic_write(path, lambda fh: fh.write(b"new"))
+        assert path.read_bytes() == b"new"
+
+    @staticmethod
+    def two_samples(id_a, id_b):
+        return dd.GraphDataset(
+            samples=[dd.SequenceSample(np.zeros((2, 2)), 0, id_a),
+                     dd.SequenceSample(np.ones((2, 2)), 1, id_b)],
+            num_classes=2, feature_dim=2, target_length=2, name="pair")
+
+    def test_save_rejects_repeated_id(self, tmp_path):
+        with pytest.raises(DataError, match=r"^pair: sample id 'a' repeats$"):
+            dd.save_dataset(self.two_samples("a", "a"), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sid", ["../escaped", "sub/x", "..", "", "a\\b"])
+    def test_save_rejects_id_that_is_not_a_file_name(self, tmp_path, sid):
+        with pytest.raises(DataError, match="not a plain file name"):
+            dd.save_dataset(self.two_samples("a", sid), tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPadOrTruncate:
     def test_cyclic_padding(self):

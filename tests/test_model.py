@@ -267,6 +267,28 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             mm.load_checkpoint(tmp_path / "none.npz")
 
+    def test_written_at_exact_path(self, tmp_path):
+        model = mm.build_lgrin(small_config(seed=6))
+        path = mm.save_checkpoint(model, tmp_path / "model.ckpt")
+        assert path == tmp_path / "model.ckpt"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        assert mm.load_checkpoint(path).config == model.config
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = mm.save_checkpoint(mm.build_lgrin(small_config(seed=6)),
+                                  tmp_path / "model.npz")
+        before = path.read_bytes()
+
+        def savez_then_fail(fh, **arrays):
+            fh.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(mm.np, "savez", savez_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            mm.save_checkpoint(mm.build_lgrin(small_config(seed=7)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+
     def test_rejects_foreign_npz(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, stuff=np.zeros(3))

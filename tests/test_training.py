@@ -11,7 +11,7 @@ from lgrin import autodiff as ad
 from lgrin import data as dd
 from lgrin import model as mm
 from lgrin import training as tr
-from lgrin.errors import ConfigError, ContractError
+from lgrin.errors import ConfigError, ContractError, NumericalError
 from lgrin.objective import LossWeights, classification_loss, total_loss
 
 
@@ -117,6 +117,17 @@ class TestTrainLoop:
         model, _ = tr.train(model, ds, tr.TrainConfig(epochs=10, seed=1))
         for name, t in model.registry.items():
             assert np.all(np.isfinite(t.values)), name
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_names_epoch_and_batch(self):
+        ds = small_dataset()
+        model = mm.build_lgrin(small_config())
+        model.registry["head.b"].values[0] = np.inf
+        before = {k: t.values.copy() for k, t in model.registry.items()}
+        with pytest.raises(NumericalError, match=r"epoch 0, batch 0$"):
+            tr.train(model, ds, tr.TrainConfig(epochs=2, seed=0))
+        for name, t in model.registry.items():
+            npt.assert_array_equal(t.values, before[name])
 
     def test_dataset_mismatch_rejected(self):
         model = mm.build_lgrin(small_config())
