@@ -12,7 +12,7 @@ from .data import (GraphDataset, SequenceSample, SynthSpec, cv_split,
                    load_dataset, pad_or_truncate, save_dataset, synth_generate)
 from .model import (LGrinModel, ModelConfig, build_baseline_gcn, build_lgrin,
                     closed_form_parameter_count, forward_shared, load_checkpoint,
-                    parameter_count, salient_node, save_checkpoint)
+                    parameter_count, salient_nodes, save_checkpoint)
 from .objective import (LossWeights, classification_loss, graph_learning_loss,
                         total_loss)
 from .training import (AdamState, TrainConfig, TrainReport, adam_step, evaluate,
@@ -30,7 +30,7 @@ __all__ = [
     "fixed_adjacency", "forward_shared", "grad_check", "grad_check_random",
     "graph_learning_loss", "load_checkpoint", "load_dataset", "lr_at_epoch",
     "neighbor_mask", "pad_or_truncate", "parameter_count",
-    "renormalized_adjacency", "salient_node", "save_checkpoint",
+    "renormalized_adjacency", "salient_nodes", "save_checkpoint",
     "save_dataset", "structure_matrix", "synth_generate", "total_loss",
     "train",
 ]

@@ -34,7 +34,9 @@ def fixed_adjacency(kind: str, m: int, features: Tensor | None = None) -> Tensor
     """Constant adjacency: 'binary' chain or 'weighted' squared-distance.
 
     binary:   entry (i, j) = 1 iff |i - j| = 1
-    weighted: entry (i, j) = ||n_i - n_j||^2 over the given node features
+    weighted: entry (i, j) = ||n_i - n_j||^2 over the given node features;
+              (M, P) features give one (M, M) matrix, an (M, B, P) batch a
+              (B, M, M) stack with one matrix per sample
     """
     if kind == "binary":
         idx = np.arange(m)
@@ -47,8 +49,10 @@ def fixed_adjacency(kind: str, m: int, features: Tensor | None = None) -> Tensor
         if n.shape[0] != m:
             raise ConfigError(
                 f"feature rows {n.shape[0]} do not match node count {m}")
-        diff = n[:, None, :] - n[None, :, :]
-        return ad.constant(np.einsum("ijk,ijk->ij", diff, diff))
+        per_sample = n.reshape(m, -1, n.shape[-1]).transpose(1, 0, 2)
+        dists = [np.einsum("ijk,ijk->ij", d, d)
+                 for d in (x[:, None, :] - x[None, :, :] for x in per_sample)]
+        return ad.constant(np.stack(dists).reshape(n.shape[1:-1] + (m, m)))
     raise ConfigError(f"unknown fixed adjacency kind {kind!r}")
 
 
@@ -86,8 +90,11 @@ def structure_matrix(m: int) -> np.ndarray:
 
 
 def neighbor_mask(a_eff: Tensor, threshold: float = 0.0) -> np.ndarray:
-    """Boolean 1-hop mask: weight above threshold, self always included."""
-    av = a_eff.values
-    mask = av > threshold
-    np.fill_diagonal(mask, True)
+    """Boolean 1-hop mask: weight above threshold, self always included.
+
+    Works on one (M, M) adjacency or a (B, M, M) stack of them.
+    """
+    mask = a_eff.values > threshold
+    diag = np.arange(mask.shape[-1])
+    mask[..., diag, diag] = True
     return mask

@@ -9,9 +9,14 @@ the tensors its nodes read and wrote, never the other way round, so a tape
 is freed as soon as its caller drops it. Tapes are rebuilt on every forward
 pass and are confined to a single thread.
 
-Only the operations the model needs are provided; there is no broadcasting
-beyond matrix-plus-row-vector addition, no views, and no higher-order
-derivatives. All values are float64 so that gradients can be checked
+Only the operations the model needs are provided. Activations are laid
+out (M, B, F): nodes on axis 0, one minibatch of samples on axis 1, and
+features on the last axis, so one forward graph serves a whole minibatch.
+The graph ops (propagation, neighborhood max, readouts) act on axis 0 and
+the dense ops (``relu_affine``, ``concat_features``) on the last axis, so a
+single (M, F) sample goes through the same ops. Apart from
+matrix-plus-row-vector addition there is no broadcasting, and there are no
+higher-order derivatives. All values are float64 so that gradients can be checked
 against central finite differences at tight tolerances.
 """
 
@@ -144,17 +149,26 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
 
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.values)}
+    summed: set[Tensor] = set()  # tensors whose gradient is a sum made here
     for node in reversed(tape.nodes):
         g = grads.pop(node.output, None)
         if g is None:
             continue
+        summed.discard(node.output)
         for t, gin in zip(node.inputs, node.backward(g)):
             if gin is None or not t.requires_grad:
                 continue
             acc = grads.get(t)
-            # never accumulate in place: backward outputs may alias each
-            # other (add returns the upstream array for both operands)
-            grads[t] = gin if acc is None else acc + gin
+            if acc is None:
+                grads[t] = gin
+            elif t in summed:
+                acc += gin
+            else:
+                # backward outputs may alias each other (add returns the
+                # upstream array for both operands), so only a sum made
+                # here is updated in place
+                grads[t] = acc + gin
+                summed.add(t)
     return grads
 
 
@@ -175,17 +189,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit((a, b), out, back)
 
 
-def vecmat(v: Tensor, m: Tensor) -> Tensor:
-    """Row-vector times matrix: (K,) x (K,C) -> (C,)."""
-    if v.values.ndim != 1 or m.values.ndim != 2 or v.shape[0] != m.shape[0]:
-        raise ShapeError(f"vecmat shapes do not chain: {v.shape} x {m.shape}")
-    vv, mv = v.values, m.values
-    out = vv @ mv
+def propagate(a: Tensor, h: Tensor) -> Tensor:
+    """Graph propagation ``A @ H`` over the node axis (axis 0) of ``h``.
 
-    def back(g: np.ndarray):
-        return mv @ g, np.outer(vv, g)
+    A shared (M, M) adjacency is one 2-D GEMM on ``h`` viewed as
+    (M, B*F); a (B, M, M) stack holds one adjacency per sample of an
+    (M, B, F) batch. The backward skips the gradient of an input that does
+    not require one.
+    """
+    av, hv = a.values, h.values
+    m = hv.shape[0]
+    if av.ndim == 2 and av.shape == (m, m):
+        h2 = hv.reshape(m, -1)
+        out = (av @ h2).reshape(hv.shape)
 
-    return _emit((v, m), out, back)
+        def back(g: np.ndarray):
+            g2 = g.reshape(m, -1)
+            return (g2 @ h2.T if a.requires_grad else None,
+                    (av.T @ g2).reshape(hv.shape) if h.requires_grad else None)
+    elif av.ndim == 3 and hv.ndim == 3 and av.shape == (hv.shape[1], m, m):
+        # one (M, M) @ (M, F) product per sample
+        hb = hv.transpose(1, 0, 2)
+        out = np.ascontiguousarray((av @ hb).transpose(1, 0, 2))
+
+        def back(g: np.ndarray):
+            gb = g.transpose(1, 0, 2)
+            return (gb @ hb.transpose(0, 2, 1) if a.requires_grad else None,
+                    np.ascontiguousarray((av.transpose(0, 2, 1) @ gb).transpose(1, 0, 2))
+                    if h.requires_grad else None)
+    else:
+        raise ShapeError(f"propagate shapes do not match: adjacency {av.shape}, "
+                         f"features {hv.shape}")
+    return _emit((a, h), out, back)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -234,20 +269,57 @@ def transpose(a: Tensor) -> Tensor:
     return _emit((a,), a.values.T.copy(), back)
 
 
+def _track_relu_margin(pre: np.ndarray) -> None:
+    """On a kink-tracking tape, note how close ``pre`` came to ReLU's kink."""
+    tracker = _tracking_tape()
+    if tracker is not None and pre.size:
+        tracker.relu_margin = min(tracker.relu_margin, float(np.min(np.abs(pre))))
+
+
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0); subgradient at exactly 0 is 0."""
     xv = x.values
-    tape = active_tape()
-    if tape is not None and tape.track_kinks and xv.size:
-        m = float(np.min(np.abs(xv)))
-        if m < tape.relu_margin:
-            tape.relu_margin = m
+    _track_relu_margin(xv)
     pos = xv > 0.0
 
     def back(g: np.ndarray):
         return (g * pos,)
 
     return _emit((x,), np.where(pos, xv, 0.0), back)
+
+
+def relu_affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``ReLU(x @ w + b)`` over the last axis of ``x``, as one tape node.
+
+    ``x`` is (..., F) and ``w`` is (F, N); every leading row goes through
+    one 2-D GEMM. Only the output is kept: the pre-activation is rectified
+    in place, and the backward takes ``out > 0`` as the ReLU mask, which
+    selects the same cells as ``x @ w + b > 0`` (NaN and 0 both rectify to
+    0 and route no gradient). On a kink-tracking tape the smallest
+    ``|x @ w + b|`` is recorded, as ``relu`` does. ``b`` is optional.
+    """
+    xv, wv = x.values, w.values
+    if xv.ndim < 1 or wv.ndim != 2 or wv.shape[0] != xv.shape[-1]:
+        raise ShapeError(f"relu_affine shapes do not chain: {xv.shape} x {wv.shape}")
+    f, n = wv.shape
+    if b is not None and b.shape != (n,):
+        raise ShapeError(f"relu_affine bias {b.shape} does not match width {n}")
+    x2 = xv.reshape(-1, f)
+    out = x2 @ wv
+    if b is not None:
+        out += b.values
+    _track_relu_margin(out)
+    np.fmax(out, 0.0, out=out)  # NaN -> 0.0, as in relu
+    out += 0.0  # -0.0 -> 0.0
+
+    def back(g: np.ndarray):
+        gz = g.reshape(-1, n) * (out > 0.0)
+        gx = (gz @ wv.T).reshape(xv.shape) if x.requires_grad else None
+        grads = (gx, x2.T @ gz)
+        return grads if b is None else grads + (gz.sum(axis=0),)
+
+    inputs = (x, w) if b is None else (x, w, b)
+    return _emit(inputs, out.reshape(xv.shape[:-1] + (n,)), back)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -261,35 +333,22 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def concat_features(parts: Sequence[Tensor]) -> Tensor:
-    """Column-wise concatenation of 2-D tensors sharing a row count."""
+    """Concatenation along the last (feature) axis of same-rank tensors
+    whose other axes agree: (M, B, F_k) parts, or 1-D vectors."""
     if not parts:
         raise ShapeError("concat_features needs at least one part")
-    rows = parts[0].shape[0]
+    lead = parts[0].shape[:-1]
     for p in parts:
-        if p.values.ndim != 2 or p.shape[0] != rows:
+        if p.values.ndim < 1 or p.shape[:-1] != lead:
             raise ShapeError(
-                f"concat_features row mismatch: {[q.shape for q in parts]}")
-    widths = [p.shape[1] for p in parts]
+                f"concat_features shape mismatch: {[q.shape for q in parts]}")
+    widths = [p.shape[-1] for p in parts]
     splits = np.cumsum(widths)[:-1]
 
     def back(g: np.ndarray):
-        return np.split(g, splits, axis=1)
+        return np.split(g, splits, axis=-1)
 
-    return _emit(tuple(parts), np.concatenate([p.values for p in parts], axis=1), back)
-
-
-def concat_vectors(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenation of 1-D tensors into one longer vector."""
-    for p in parts:
-        if p.values.ndim != 1:
-            raise ShapeError(f"concat_vectors needs 1-D parts, got {p.shape}")
-    lengths = [p.shape[0] for p in parts]
-    splits = np.cumsum(lengths)[:-1]
-
-    def back(g: np.ndarray):
-        return np.split(g, splits)
-
-    return _emit(tuple(parts), np.concatenate([p.values for p in parts]), back)
+    return _emit(tuple(parts), np.concatenate([p.values for p in parts], axis=-1), back)
 
 
 def _tracking_tape() -> "GradTape | None":
@@ -298,7 +357,8 @@ def _tracking_tape() -> "GradTape | None":
 
 
 def _distinct_top_gap(mat: np.ndarray) -> float:
-    """Per-column gap between the max and the largest strictly smaller value.
+    """Gap between the max over axis 0 and the largest strictly smaller value,
+    minimized over the remaining axes.
 
     Exact duplicates of the max are copies of one source (overlapping
     neighborhoods, clamped zeros) that move together under perturbation,
@@ -307,12 +367,19 @@ def _distinct_top_gap(mat: np.ndarray) -> float:
     constraint (inf).
     """
     top = mat.max(axis=0)
-    below = np.where(mat < top[None, :], mat, -np.inf)
+    below = np.where(mat < top, mat, -np.inf)
     second = below.max(axis=0)
     finite = second > -np.inf
     if not finite.any():
         return math.inf
     return float((top[finite] - second[finite]).min())
+
+
+def _track_max_margin(mat: np.ndarray) -> None:
+    """On a kink-tracking tape, note how close a max over axis 0 came to a tie."""
+    tracker = _tracking_tape()
+    if tracker is not None and mat.shape[0] > 1:
+        tracker.max_margin = min(tracker.max_margin, _distinct_top_gap(mat))
 
 
 def _unordered_ties(values: np.ndarray) -> bool:
@@ -324,129 +391,134 @@ def _unordered_ties(values: np.ndarray) -> bool:
 
 
 def neighborhood_max(h: Tensor, neighbor_mask: np.ndarray) -> Tensor:
-    """Row i of the output is the columnwise max of h over i's neighborhood.
+    """Node i of the output is the max of h over i's neighborhood, per cell.
 
-    ``neighbor_mask`` is a boolean (M, M) array; every row must select at
-    least one neighbor. Ties go to the lowest node index, signed zeros
-    included: the output copies that entry and the gradient routes to it
-    per (row, feature). The per-node argmax is taken only when it matters:
-    when a gradient will be routed (``h`` requires grad on an active tape),
-    when a kink-tracking tape needs the tie margins, or when ``h`` holds
-    -0.0 or NaN. Otherwise a plain max per node gives the same bits.
+    ``h`` is (M, ..., F) with the nodes on axis 0: one (M, F) sample or an
+    (M, B, F) batch. ``neighbor_mask`` is a boolean (M, M) array shared by
+    every sample, or for an (M, B, F) batch a (B, M, M) stack with one mask
+    per sample; every node must select at least one neighbor. A shared mask
+    gathers ``h[rows]`` once per node for the whole batch. Ties go to the
+    lowest node index, signed zeros included: the output copies that entry
+    and the gradient routes to it per cell. The routing index is taken
+    only when a gradient will be routed (``h`` requires grad on an active
+    tape) or a kink-tracking tape needs the tie margins. When ``h`` holds
+    no -0.0 or NaN, tied entries have equal bits, so the output is a plain
+    max and the index is the first entry equal to it.
     """
     hv = h.values
-    m, f = hv.shape
+    m = hv.shape[0]
     mask = np.asarray(neighbor_mask, dtype=bool)
-    if mask.shape != (m, m):
-        raise ShapeError(f"mask shape {mask.shape} does not match node count {m}")
-    empty = np.flatnonzero(~mask.any(axis=1))
+    if not (mask.shape == (m, m) or (hv.ndim == 3 and mask.shape == (hv.shape[1], m, m))):
+        raise ShapeError(f"mask shape {mask.shape} does not match features {hv.shape}")
+    empty = np.nonzero(~mask.any(axis=-1))[-1]
     if empty.size:
         raise ContractError(f"empty neighborhood for node {empty[0]}")
-    out = np.empty_like(hv)
+    # (node mask, index of the samples it covers): the shared mask covers
+    # the whole batch, a per-sample mask its own sample
+    groups = ([(mask, ())] if mask.ndim == 2
+              else [(mask[b], (b,)) for b in range(mask.shape[0])])
     tape = active_tape()
-    if not ((tape is not None and (h.requires_grad or tape.track_kinks))
-            or _unordered_ties(hv)):
-        for i in range(m):
-            out[i] = hv[mask[i]].max(axis=0)
+    routed = tape is not None and (h.requires_grad or tape.track_kinks)
+    ties = _unordered_ties(hv)
+    out = np.empty_like(hv)
+    # per output cell, the flat index of the input cell it copies
+    cell = np.arange(hv[0].size).reshape(hv.shape[1:])
+    source = np.empty(hv.shape, dtype=np.intp) if routed else None
+    for node_mask, at in groups:
+        neighbors = np.split(np.nonzero(node_mask)[1], np.cumsum(node_mask.sum(axis=1))[:-1])
+        for i, rows in enumerate(neighbors):
+            sub = hv[(rows, *at)]
+            if ties:
+                k = sub.argmax(axis=0)
+                out[(i, *at)] = np.take_along_axis(sub, k[None], axis=0)[0]
+            else:
+                out[(i, *at)] = top = sub.max(axis=0)
+                if routed:
+                    k = (sub == top).argmax(axis=0)
+            if routed:
+                source[(i, *at)] = rows[k] * cell.size + cell[at]
+                _track_max_margin(sub)
+    if not routed:
         # still one tape node per op; h gets no gradient through it
         return _emit((h,), out, lambda g: (None,))
 
-    arg = np.empty((m, f), dtype=np.intp)
-    cols = np.arange(f)
-    tracker = _tracking_tape()
-    for i in range(m):
-        rows = np.flatnonzero(mask[i])
-        sub = hv[rows]
-        k = sub.argmax(axis=0)
-        out[i] = sub[k, cols]
-        arg[i] = rows[k]
-        if tracker is not None and rows.size > 1:
-            gap = _distinct_top_gap(sub)
-            if gap < tracker.max_margin:
-                tracker.max_margin = gap
-
     def back(g: np.ndarray):
-        # bincount adds each (row, feature) cell's terms in output-row
-        # order, as the per-node reference in tests/test_properties.py does
-        gh = np.bincount((arg * f + cols).ravel(), weights=g.ravel(),
-                         minlength=m * f)
-        return (gh.reshape(m, f),)
+        # bincount adds each input cell's terms in output-node order, as
+        # the per-node reference in tests/test_properties.py does
+        gh = np.bincount(source.ravel(), weights=g.ravel(), minlength=hv.size)
+        return (gh.reshape(hv.shape),)
 
     return _emit((h,), out, back)
 
 
 def readout(h: Tensor, mode: str) -> Tensor:
-    """Columnwise max or mean over all rows, collapsing (M, F) to (F,)."""
+    """Max or mean over the node axis (axis 0): (M, ..., F) to (..., F)."""
     hv = h.values
-    if hv.ndim != 2:
-        raise ShapeError(f"readout needs a 2-D tensor, got shape {h.shape}")
-    m, f = hv.shape
+    if hv.ndim < 2:
+        raise ShapeError(f"readout needs nodes and features, got shape {h.shape}")
+    m = hv.shape[0]
     if mode == "mean":
         def back(g: np.ndarray):
-            return (np.tile(g / m, (m, 1)),)
+            return (np.broadcast_to(g / m, hv.shape),)
 
         return _emit((h,), hv.mean(axis=0), back)
     if mode == "max":
-        idx = hv.argmax(axis=0)
-        tracker = _tracking_tape()
-        if tracker is not None and m > 1:
-            gap = _distinct_top_gap(hv)
-            if gap < tracker.max_margin:
-                tracker.max_margin = gap
-        cols = np.arange(f)
+        idx = hv.argmax(axis=0)[None]
+        _track_max_margin(hv)
 
         def back(g: np.ndarray):
             gh = np.zeros_like(hv)
-            gh[idx, cols] = g
+            np.put_along_axis(gh, idx, g[None], axis=0)
             return (gh,)
 
-        return _emit((h,), hv[idx, cols], back)
+        return _emit((h,), np.take_along_axis(hv, idx, axis=0)[0], back)
     raise ContractError(f"unknown readout mode {mode!r}")
 
 
 def weighted_readout(h: Tensor, p: Tensor) -> Tensor:
-    """Row-weighted sum of node embeddings: sum_i p[i] * h[i]."""
+    """Node-weighted sum of embeddings, sum_i p[i] * h[i]: (M, ..., F) to (..., F)."""
     hv, pv = h.values, p.values
-    if pv.ndim != 1 or hv.ndim != 2 or pv.shape[0] != hv.shape[0]:
+    if pv.ndim != 1 or hv.ndim < 2 or pv.shape[0] != hv.shape[0]:
         raise ShapeError(f"weighted_readout shapes: h {hv.shape}, p {pv.shape}")
+    h2 = hv.reshape(pv.shape[0], -1)
 
     def back(g: np.ndarray):
-        return np.outer(pv, g), hv @ g
+        return np.multiply.outer(pv, g), h2 @ g.ravel()
 
-    return _emit((h, p), hv.T @ pv, back)
+    return _emit((h, p), (pv @ h2).reshape(hv.shape[1:]), back)
 
 
-def cross_entropy_logits(logits: Tensor, label: int) -> Tensor:
-    """Negative log-softmax of the true class, with max-subtraction."""
+def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
+    """Summed negative log-softmax of the true classes, with max-subtraction.
+
+    ``logits`` is (B, C) with one integer label per row, or a single (C,)
+    vector with one integer label.
+    """
     lv = logits.values
-    if lv.ndim != 1:
-        raise ShapeError(f"logits must be 1-D, got shape {logits.shape}")
-    c = lv.shape[0]
-    label = int(label)
-    if not 0 <= label < c:
-        raise IndexError(f"label {label} out of range for {c} classes")
-    m = lv.max()
-    exps = np.exp(lv - m)
-    z = exps.sum()
+    if lv.ndim not in (1, 2):
+        raise ShapeError(f"logits must be (C,) or (B, C), got shape {logits.shape}")
+    c = lv.shape[-1]
+    y = np.asarray(labels)
+    if y.shape != lv.shape[:-1] or not np.issubdtype(y.dtype, np.integer):
+        raise ShapeError(f"labels of shape {y.shape} for logits {lv.shape}")
+    y = y.reshape(-1)
+    bad = y[(y < 0) | (y >= c)]
+    if bad.size:
+        raise IndexError(f"label {bad[0]} out of range for {c} classes")
+    l2 = lv.reshape(-1, c)
+    rows = np.arange(l2.shape[0])
+    top = l2.max(axis=1, keepdims=True)
+    exps = np.exp(l2 - top)
+    z = exps.sum(axis=1, keepdims=True)
     softmax = exps / z
-    loss = math.log(z) + m - lv[label]
+    loss = (np.log(z) + top)[:, 0] - l2[rows, y]
 
     def back(g: np.ndarray):
         gl = softmax * float(g)
-        gl[label] -= float(g)
-        return (gl,)
+        gl[rows, y] -= float(g)
+        return (gl.reshape(lv.shape),)
 
-    return _emit((logits,), np.asarray(loss), back)
-
-
-def add_scalars(terms: Sequence[Tensor]) -> Tensor:
-    """Left-fold sum of scalar tensors (used for batched losses)."""
-    if not terms:
-        raise ContractError("add_scalars needs at least one term")
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = add(acc, t)
-    return acc
+    return _emit((logits,), np.asarray(loss.sum()), back)
 
 
 def finite_difference(f: Callable[[np.ndarray], float], x: np.ndarray,

@@ -162,6 +162,11 @@ def _padded(ds: GraphDataset, m: int):
     return [pad_or_truncate(s, m) for s in ds.samples]
 
 
+def _write_text(path: Path, text: str) -> Path:
+    """Write a finished text file atomically: the whole file or none of it."""
+    return atomic_write(path, lambda fh: fh.write(text.encode("utf-8")))
+
+
 def cmd_train(args) -> int:
     doc = apply_overrides(load_run_config(args.config), args.override)
     model = build_model_from_section(_require(doc, "model"))
@@ -174,9 +179,8 @@ def cmd_train(args) -> int:
     echo = {k: v for k, v in doc.items() if k != "_base_dir"}
     report_doc = {"report": report.to_dict(), "run_config": echo,
                   "parameter_count": mm.parameter_count(model)}
-    report_text = json.dumps(report_doc, indent=2) + "\n"
-    report_path = atomic_write(out_dir / "report.json",
-                               lambda fh: fh.write(report_text.encode("utf-8")))
+    report_path = _write_text(out_dir / "report.json",
+                              json.dumps(report_doc, indent=2) + "\n")
     print(f"checkpoint: {ckpt}")
     print(f"report: {report_path}")
     print(f"final train accuracy: {report.final_accuracy:.4f}")
@@ -306,17 +310,16 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _write_pgm(path: Path, values: np.ndarray, invert: bool) -> None:
+def _pgm_text(values: np.ndarray, invert: bool) -> str:
+    """ASCII P2 heatmap of a non-negative matrix, its peak mapped to 255."""
     vmax = float(values.max())
     pixels = (np.zeros_like(values) if vmax <= 0
               else np.rint(values / vmax * 255.0))
     pixels = pixels.astype(np.int64)
     if invert:
         pixels = 255 - pixels
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"P2\n{values.shape[1]} {values.shape[0]}\n255\n")
-        for row in pixels:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+    rows = "".join(" ".join(str(v) for v in row) + "\n" for row in pixels)
+    return f"P2\n{values.shape[1]} {values.shape[0]}\n255\n{rows}"
 
 
 def cmd_inspect(args) -> int:
@@ -330,26 +333,19 @@ def cmd_inspect(args) -> int:
             raise ConfigError("weighted adjacency is per-sample; nothing "
                               "model-level to export")
         values = a_eff.values
-        csv_path = prefix.with_name(prefix.name + "_adjacency.csv")
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in values:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        pgm_path = prefix.with_name(prefix.name + "_adjacency.pgm")
-        _write_pgm(pgm_path, values, invert=args.invert)
-        print(f"wrote {csv_path}")
-        print(f"wrote {pgm_path}")
+        csv_text = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in values)
+        pgm_text = _pgm_text(values, invert=args.invert)
+        for suffix, text in (("_adjacency.csv", csv_text), ("_adjacency.pgm", pgm_text)):
+            print(f"wrote {_write_text(prefix.with_name(prefix.name + suffix), text)}")
         return EXIT_OK
     # salient node per sample
     if not args.data:
         raise ConfigError("--what salient requires --data")
     ds = load_dataset(args.data)
     samples = _padded(ds, model.config.m)
-    csv_path = prefix.with_name(prefix.name + "_salient.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,salient_node\n")
-        for s in samples:
-            fh.write(f"{s.id},{mm.salient_node(model, s)}\n")
-    print(f"wrote {csv_path}")
+    nodes = mm.salient_nodes(model, samples)
+    text = "id,salient_node\n" + "".join(f"{s.id},{k}\n" for s, k in zip(samples, nodes))
+    print(f"wrote {_write_text(prefix.with_name(prefix.name + '_salient.csv'), text)}")
     return EXIT_OK
 
 

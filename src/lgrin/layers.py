@@ -2,11 +2,13 @@
 
 The central operation propagates node features through the shared
 adjacency and then applies a small two-layer MLP with an outer ReLU. An
-inception layer runs two such convolutions of different widths next to a
-1-hop neighborhood max and concatenates all three along the feature axis,
-so its output width is always eta1 + eta2 + F_in. Graph-level pooling
-reduces node embeddings either with a fixed max/mean readout or with the
-learnable combination [max | weighted sum | mean].
+inception layer propagates once, runs two such convolutions of different
+widths on the result next to a 1-hop neighborhood max, and concatenates all
+three along the feature axis, so its output width is always
+eta1 + eta2 + F_in. Graph-level pooling reduces node embeddings either with
+a fixed max/mean readout or with the learnable combination
+[max | weighted sum | mean]. Node features are (M, B, F) minibatches (or a
+single (M, F) sample); pooling returns one (B, ...) graph vector per sample.
 
 Layers take their parameter tensors directly and hold no state: a
 convolution branch is the tuple (w1, b1, w2, b2) and learnable pooling is
@@ -37,15 +39,15 @@ def init_branch(f_in: int, eta: int, rng: np.random.Generator) -> Branch:
             ad.parameter(xavier_uniform(rng, eta, eta)), ad.parameter(np.zeros(eta)))
 
 
-def mlp_apply(x: Tensor, branch: Branch) -> Tensor:
+def gstar_conv(ah: Tensor, branch: Branch) -> Tensor:
+    """Spectral graph convolution ReLU(MLP(A_eff @ H)), output width eta.
+
+    Takes the propagated features ``ah = A_eff @ H``, which an inception
+    layer computes once for both of its branches. Each of the two weight
+    layers is one fused ``ReLU(x @ W + b)`` tape node.
+    """
     w1, b1, w2, b2 = branch
-    hidden = ad.relu(ad.add(ad.matmul(x, w1), b1))
-    return ad.add(ad.matmul(hidden, w2), b2)
-
-
-def gstar_conv(h: Tensor, a_eff: Tensor, branch: Branch) -> Tensor:
-    """Spectral graph convolution: ReLU(MLP(A_eff @ H)), output width eta."""
-    return ad.relu(mlp_apply(ad.matmul(a_eff, h), branch))
+    return ad.relu_affine(ad.relu_affine(ah, w1, b1), w2, b2)
 
 
 def inception_layer(h: Tensor, a_eff: Tensor, branch1: Branch, branch2: Branch,
@@ -53,26 +55,27 @@ def inception_layer(h: Tensor, a_eff: Tensor, branch1: Branch, branch2: Branch,
     """Concat of both convolution branches and the 1-hop neighborhood max.
 
     The max branch passes input features through unchanged widths, so the
-    output is (M, eta1 + eta2 + F_in) regardless of stacking depth.
+    output is (M, ..., eta1 + eta2 + F_in) regardless of stacking depth.
     """
+    ah = ad.propagate(a_eff, h)
     return ad.concat_features([
-        gstar_conv(h, a_eff, branch1),
-        gstar_conv(h, a_eff, branch2),
+        gstar_conv(ah, branch1),
+        gstar_conv(ah, branch2),
         ad.neighborhood_max(h, mask),
     ])
 
 
 def pooling_layer(h_k: Tensor, p: Tensor | None, mode: str) -> Tensor:
-    """Reduce node embeddings (M, Q) to one graph vector.
+    """Reduce node embeddings (M, ..., Q) over the nodes to graph vectors.
 
-    learnable_full concatenates [max | weighted sum | mean] into a 3Q
-    vector, weighting the sum by p; max/mean return the single Q-wide
+    learnable_full concatenates [max | weighted sum | mean] into 3Q
+    features, weighting the sum by p; max/mean return the single Q-wide
     readout used by the fixed-pooling comparisons.
     """
     if mode == "learnable_full":
         if p is None:
             raise ContractError("learnable_full pooling needs pooling weights")
-        return ad.concat_vectors([
+        return ad.concat_features([
             ad.readout(h_k, "max"),
             ad.weighted_readout(h_k, p),
             ad.readout(h_k, "mean"),
@@ -84,4 +87,4 @@ def pooling_layer(h_k: Tensor, p: Tensor | None, mode: str) -> Tensor:
 
 def gcn_layer(h: Tensor, a_hat: Tensor, w: Tensor) -> Tensor:
     """Baseline propagation ReLU(A_hat @ H @ W) over a fixed adjacency."""
-    return ad.relu(ad.matmul(ad.matmul(a_hat, h), w))
+    return ad.relu_affine(ad.propagate(a_hat, h), w)

@@ -9,8 +9,9 @@ architectures share the container: the full learnable-graph inception
 network, and the plain GCN baseline (two renormalized propagation layers
 over the binary chain with a max|mean readout). This is the only module
 that tells them apart: ``BUILDERS`` maps each architecture name to its
-constructor, ``forward_shared`` is the one forward pass for both, and
-``graph_loss`` says which graph-learning terms a model trains.
+constructor, ``forward_shared`` is the one forward pass for both (one
+graph per minibatch), and ``graph_loss`` says which graph-learning terms a
+model trains.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ ADJACENCY_MODES = ("learnable", "binary", "weighted")
 BASELINE_GCN_WIDTH = 64
 CHECKPOINT_FORMAT = "lgrin-checkpoint"
 CHECKPOINT_VERSION = 1
+FORWARD_CHUNK = 16  # samples per forward-only pass (evaluation, saliency)
 
 
 @dataclass(frozen=True)
@@ -172,56 +174,55 @@ def shared_effective_adjacency(model: LGrinModel) -> Tensor | None:
     return adjmod.effective_adjacency(raw) if raw is not None else model.graph
 
 
-def _shared_graph(model: LGrinModel, samples: list[SequenceSample]
-                  ) -> tuple[Tensor | None, np.ndarray | None, list[list[L.Branch]]]:
-    """Check the samples, then build the shared adjacency, its mask and each
-    inception layer's two branches (read from the registry) once."""
+def _stacked_features(model: LGrinModel, samples: list[SequenceSample]) -> Tensor:
+    """The samples' node features as one constant (M, B, P) batch."""
     m, p = model.config.m, model.config.p
+    if not samples:
+        raise ContractError("a forward pass needs at least one sample")
     for s in samples:
         if s.features.shape != (m, p):
             raise ShapeError(f"sample {s.id!r} has shape "
                              f"{s.features.shape}, model expects ({m}, {p})")
-    reg = model.registry
-    layers = [] if model.arch == "baseline_gcn" else [
-        [tuple(reg[key] for key in _branch_keys(k, b)) for b in (1, 2)]
-        for k in range(model.config.inception_layers)]
-    a_eff = shared_effective_adjacency(model)
-    mask = None
-    if layers and a_eff is not None:  # only inception layers read it
-        mask = adjmod.neighbor_mask(a_eff, model.config.mask_threshold)
-    return a_eff, mask, layers
+    return ad.constant(np.stack([s.features for s in samples], axis=1))
 
 
-def _forward_one(model: LGrinModel, sample: SequenceSample, a_eff: Tensor | None,
-                 mask: np.ndarray | None, layers: list[list[L.Branch]]
-                 ) -> tuple[Tensor, Tensor]:
-    """Logits and final node embeddings for one checked sample."""
-    reg = model.registry
-    h = ad.constant(sample.features)
-    if model.arch == "baseline_gcn":
-        h = L.gcn_layer(L.gcn_layer(h, a_eff, reg["gcn.w0"]), a_eff, reg["gcn.w1"])
-        pooled = ad.concat_vectors([ad.readout(h, "max"), ad.readout(h, "mean")])
-    else:
-        if a_eff is None:  # weighted adjacency is a function of this sample
-            a_eff = adjmod.fixed_adjacency("weighted", model.config.m, h)
-            mask = adjmod.neighbor_mask(a_eff, model.config.mask_threshold)
-        for branches in layers:
-            h = L.inception_layer(h, a_eff, *branches, mask)
-        pooled = L.pooling_layer(h, reg.get("pooling.p"), model.config.pooling_mode)
-    return ad.add(ad.vecmat(pooled, reg["head.w"]), reg["head.b"]), h
+def forward_shared(model: LGrinModel, samples: list[SequenceSample]
+                   ) -> tuple[Tensor | None, Tensor, Tensor]:
+    """One forward graph for a minibatch: (shared adjacency, logits, embeddings).
 
-
-def forward_shared(model: LGrinModel,
-                   samples: list[SequenceSample]) -> tuple[Tensor | None,
-                                                           list[Tensor]]:
-    """Per-sample logits plus the shared effective adjacency they used.
-
-    The adjacency transform is recorded once per call, so batched training
-    steps accumulate all their gradients into the single raw parameter.
-    The first element is None when the adjacency is per-sample (weighted).
+    Activations are (M, B, F), so every op is recorded once per call
+    whatever the batch size B, and batched training steps accumulate all
+    their gradients into the single raw adjacency parameter. The logits are
+    (B, C) and the final node embeddings (M, B, Q). The first element is
+    None when the adjacency is per-sample (weighted); the forward then
+    runs on a (B, M, M) stack of the samples' own adjacencies.
     """
-    a_eff, mask, layers = _shared_graph(model, samples)
-    return a_eff, [_forward_one(model, s, a_eff, mask, layers)[0] for s in samples]
+    h = _stacked_features(model, samples)
+    reg = model.registry
+    a_eff = shared_effective_adjacency(model)
+    if model.arch == "baseline_gcn":
+        for key in ("gcn.w0", "gcn.w1"):
+            h = L.gcn_layer(h, a_eff, reg[key])
+        pooled = ad.concat_features([ad.readout(h, "max"), ad.readout(h, "mean")])
+    else:
+        a = (a_eff if a_eff is not None
+             else adjmod.fixed_adjacency("weighted", model.config.m, h))
+        mask = adjmod.neighbor_mask(a, model.config.mask_threshold)
+        for k in range(model.config.inception_layers):
+            branches = [tuple(reg[key] for key in _branch_keys(k, b)) for b in (1, 2)]
+            h = L.inception_layer(h, a, *branches, mask)
+        pooled = L.pooling_layer(h, reg.get("pooling.p"), model.config.pooling_mode)
+    return a_eff, ad.add(ad.matmul(pooled, reg["head.w"]), reg["head.b"]), h
+
+
+def forward_chunks(model: LGrinModel, samples: list[SequenceSample]):
+    """Forward-only passes over consecutive chunks of FORWARD_CHUNK samples.
+
+    Yields (logits, final node embeddings) per chunk, so evaluation and
+    saliency hold one chunk's activations at a time, not the whole set's.
+    """
+    for start in range(0, len(samples), FORWARD_CHUNK):
+        yield forward_shared(model, samples[start:start + FORWARD_CHUNK])[1:]
 
 
 def graph_loss(model: LGrinModel, a_eff: Tensor | None,
@@ -247,17 +248,18 @@ def argmax_plurality(h: np.ndarray) -> int:
     return int(counts.argmax())
 
 
-def salient_node(model: LGrinModel, sample: SequenceSample) -> int:
-    """Node contributing the most features to the final max readout.
+def salient_nodes(model: LGrinModel, samples: list[SequenceSample]) -> list[int]:
+    """Per sample, the node contributing the most features to the final max readout.
 
-    Counts, per feature column, which node's row of the final embedding
-    matrix attains the columnwise maximum (first index on ties) and
-    returns the plurality winner, lowest index on ties.
+    Counts, per feature column, which node's row of the sample's final
+    embedding matrix attains the columnwise maximum (first index on ties)
+    and returns the plurality winner, lowest index on ties. The embeddings
+    come from the chunked forward-only passes.
     """
     if model.arch == "lgrin" and model.config.pooling_mode == "mean":
-        raise ConfigError("salient_node needs a pooling mode with a max readout")
-    shared = _shared_graph(model, [sample])
-    return argmax_plurality(_forward_one(model, sample, *shared)[1].values)
+        raise ConfigError("salient nodes need a pooling mode with a max readout")
+    return [argmax_plurality(h.values[:, b])
+            for _, h in forward_chunks(model, samples) for b in range(h.shape[1])]
 
 
 def parameter_count(model: LGrinModel) -> int:

@@ -9,6 +9,7 @@ penalty on the pooling weights.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,14 +31,12 @@ class LossWeights:
             raise ConfigError("loss weights must be non-negative")
 
 
-def classification_loss(logits_batch: Sequence[Tensor],
-                        labels: Sequence[int]) -> Tensor:
-    """Sum (not mean) of cross-entropy terms over the batch."""
-    if len(logits_batch) != len(labels):
-        raise ContractError(f"{len(logits_batch)} logit vectors for "
+def classification_loss(logits: Tensor, labels: Sequence[int]) -> Tensor:
+    """Sum (not mean) of cross-entropy terms over a (B, C) batch of logits."""
+    if logits.values.ndim != 2 or logits.shape[0] != len(labels):
+        raise ContractError(f"logits of shape {logits.shape} for "
                             f"{len(labels)} labels")
-    return ad.add_scalars([ad.cross_entropy_logits(lg, y)
-                           for lg, y in zip(logits_batch, labels)])
+    return ad.cross_entropy_logits(logits, labels)
 
 
 def graph_learning_loss(a_eff: Tensor | None, a_d: np.ndarray,
@@ -58,7 +57,7 @@ def graph_learning_loss(a_eff: Tensor | None, a_d: np.ndarray,
         sums.append((ad.sum_all(ad.mul(a_eff, a_eff)), w.lambda2))
     if p is not None:
         sums.append((ad.sum_all(ad.mul(p, p)), w.lambda3))
-    return ad.add_scalars([ad.scale(total, lam) for total, lam in sums])
+    return functools.reduce(ad.add, [ad.scale(total, lam) for total, lam in sums])
 
 
 def total_loss(cls: Tensor, gl: Tensor) -> Tensor:

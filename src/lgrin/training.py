@@ -1,10 +1,10 @@
 """Optimizer, training loop, evaluation, gradient checking, fine-tuning.
 
 One training run owns one model: every epoch shuffles the sample order
-with the run's seeded generator, walks minibatches, replays each batch
-forward against the single shared adjacency, and applies a bias-corrected
-Adam update at the stepped learning rate. Everything is deterministic
-given (model seed, data, train config).
+with the run's seeded generator, walks minibatches, runs each batch as one
+forward graph against the single shared adjacency, and applies a
+bias-corrected Adam update at the stepped learning rate. Everything is
+deterministic given (model seed, data, train config).
 """
 
 from __future__ import annotations
@@ -138,9 +138,9 @@ def registry_grads(registry: dict[str, Tensor],
 
 def _batch_objective(model: mm.LGrinModel, samples: list[SequenceSample],
                      labels: list[int],
-                     weights: LossWeights) -> tuple[Tensor, list[Tensor]]:
-    """Total loss for one minibatch on the active tape, plus per-sample logits."""
-    a_eff, logits = mm.forward_shared(model, samples)
+                     weights: LossWeights) -> tuple[Tensor, Tensor]:
+    """Total loss for one minibatch on the active tape, plus its (B, C) logits."""
+    a_eff, logits, _ = mm.forward_shared(model, samples)
     loss = classification_loss(logits, labels)
     gl = mm.graph_loss(model, a_eff, weights)
     return (loss if gl is None else total_loss(loss, gl)), logits
@@ -190,18 +190,20 @@ def train(model: mm.LGrinModel, dataset: GraphDataset, cfg: TrainConfig,
             idx = order[start:start + cfg.batch_size]
             batch = [padded[i] for i in idx]
             batch_labels = [labels[i] for i in idx]
-            with GradTape() as tape:
-                total, logits = _batch_objective(model, batch, batch_labels,
-                                                 cfg.loss_weights)
-            step_loss = total.item()
-            if not math.isfinite(step_loss):
-                raise NumericalError(f"loss became non-finite ({step_loss}) at "
-                                     f"epoch {epoch}, batch {batch_index}")
-            grads = registry_grads(sub_registry, ad.backward(total, tape))
-            adam_step(sub_registry, grads, state, lr, cfg)
+            # a diverging step overflows in numpy; the checks below and at
+            # the end of the epoch report it as one NumericalError instead
+            with np.errstate(all="ignore"):
+                with GradTape() as tape:
+                    total, logits = _batch_objective(model, batch, batch_labels,
+                                                     cfg.loss_weights)
+                step_loss = total.item()
+                if not math.isfinite(step_loss):
+                    raise NumericalError(f"loss became non-finite ({step_loss}) at "
+                                         f"epoch {epoch}, batch {batch_index}")
+                grads = registry_grads(sub_registry, ad.backward(total, tape))
+                adam_step(sub_registry, grads, state, lr, cfg)
             epoch_loss += step_loss
-            correct += sum(int(lg.values.argmax()) == y
-                           for lg, y in zip(logits, batch_labels))
+            correct += int(np.count_nonzero(logits.values.argmax(axis=1) == batch_labels))
         for name, tensor in model.registry.items():
             if not np.all(np.isfinite(tensor.values)):
                 raise NumericalError(f"parameter {name!r} became non-finite "
@@ -236,10 +238,11 @@ def confusion_from_predictions(labels: list[int], preds: list[int],
 def evaluate(model: mm.LGrinModel, samples: list[SequenceSample]) -> dict:
     """Unweighted accuracy and confusion counts over padded samples.
 
-    Predictions are the argmax of the logits, lowest index on ties.
+    Predictions are the argmax of the logits, lowest index on ties, from
+    the chunked forward-only passes.
     """
-    logits = mm.forward_shared(model, samples)[1]
-    preds = [int(lg.values.argmax()) for lg in logits]
+    preds = [int(k) for logits, _ in mm.forward_chunks(model, samples)
+             for k in logits.values.argmax(axis=1)]
     return confusion_from_predictions([s.label for s in samples], preds,
                                       model.config.c)
 

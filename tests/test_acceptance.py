@@ -139,7 +139,7 @@ class TestCriterion03LossOracles:
                 brute += w.lambda3 * p[i] * p[i]
             ok &= abs(got - brute) < 1e-12 * max(1.0, abs(brute))
         for c in (2, 4, 6, 13):
-            loss = classification_loss([ad.constant(np.zeros(c))], [0]).item()
+            loss = classification_loss(ad.constant(np.zeros((1, c))), [0]).item()
             ok &= abs(loss - math.log(c)) < 1e-12
         check(3, "loss oracles", ok)
 
@@ -228,10 +228,10 @@ class TestCriterion09Determinism:
             dd.synth_generate(dd.SynthSpec(num_classes=3, per_class=1, m=8,
                                            p=4, noise=0.2, seed=8)).samples[0],
             8)
-        before = mm.forward_shared(model_a, [sample])[1][0].values
+        before = mm.forward_shared(model_a, [sample])[1].values[0]
         reloaded = mm.load_checkpoint(
             mm.save_checkpoint(model_a, tmp_path / "m.npz"))
-        after = mm.forward_shared(reloaded, [sample])[1][0].values
+        after = mm.forward_shared(reloaded, [sample])[1].values[0]
         check(9, "determinism and persistence",
               curves_equal and np.array_equal(before, after))
 

@@ -304,6 +304,21 @@ class TestBackward:
         _, grads = grad_of(build, [w])
         npt.assert_allclose(grads[w], [5.0])  # 2w + 1
 
+    def test_repeated_uses_sum_without_touching_shared_arrays(self):
+        # add hands the same upstream array to both operands; x then gets
+        # two more terms, which must not leak into z's gradient
+        x = ad.parameter([1.0, 2.0])
+        z = ad.parameter([3.0, 4.0])
+        c = ad.constant([2.0, 3.0])
+
+        def build():
+            return ad.add(ad.add(ad.sum_all(ad.mul(ad.add(x, z), c)),
+                                 ad.sum_all(ad.mul(x, c))), ad.sum_all(x))
+
+        _, grads = grad_of(build, [x, z])
+        npt.assert_array_equal(grads[x], [5.0, 7.0])  # 2c + 1
+        npt.assert_array_equal(grads[z], [2.0, 3.0])
+
     def test_composite_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         for trial in range(5):
@@ -354,7 +369,7 @@ class TestDeterminism:
             x = rng.uniform(-10, 10, size=(4, 3))
             w = rng.uniform(-10, 10, size=(3, 3))
             h = ad.relu(ad.matmul(ad.constant(x), ad.constant(w)))
-            out = ad.concat_vectors([ad.readout(h, "max"), ad.readout(h, "mean")])
+            out = ad.concat_features([ad.readout(h, "max"), ad.readout(h, "mean")])
             assert np.all(np.isfinite(out.values))
 
 

@@ -261,6 +261,44 @@ class TestInspect:
             node = int(line.split(",")[1])
             assert 0 <= node < 8
 
+    def test_interrupted_salient_run_writes_nothing(self, trained, dataset_dir,
+                                                    monkeypatch):
+        # a run that fails on its third sample leaves no partial CSV behind
+        ckpt, _ = trained
+        real, calls = mm.argmax_plurality, []
+
+        def fail_on_third(h):
+            calls.append(h)
+            if len(calls) == 3:
+                raise RuntimeError("interrupted")
+            return real(h)
+
+        monkeypatch.setattr(mm, "argmax_plurality", fail_on_third)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run("inspect", "--checkpoint", str(ckpt), "--what", "salient",
+                "--data", str(dataset_dir / "manifest.json"))
+        assert sorted(p.name for p in ckpt.parent.iterdir()) == [
+            "checkpoint.npz", "report.json"]
+
+    @pytest.mark.parametrize("failing", [1, 2], ids=["csv", "pgm"])
+    def test_failed_write_leaves_no_partial_file(self, trained, monkeypatch, failing):
+        ckpt, _ = trained
+        syncs = []
+
+        def fsync(fd):
+            syncs.append(fd)
+            if len(syncs) == failing:
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError, match="No space"):
+            run("inspect", "--checkpoint", str(ckpt), "--what", "adjacency")
+        written = ["checkpoint_adjacency.csv"] if failing == 2 else []
+        assert sorted(p.name for p in ckpt.parent.iterdir()) == sorted(
+            ["checkpoint.npz", "report.json", *written])
+        if written:
+            assert np.loadtxt(ckpt.parent / written[0], delimiter=",").shape == (8, 8)
+
     def test_salient_requires_data(self, trained):
         ckpt, _ = trained
         assert run("inspect", "--checkpoint", str(ckpt),
@@ -269,10 +307,10 @@ class TestInspect:
 
 class TestDeterminism:
     @pytest.mark.xfail(strict=True, reason=(
-        "known defect: with 2 OpenBLAS threads the (90, F) @ (F, 90) matmul "
-        "behind the adjacency gradient rounds differently (~1e-16), and the "
-        "second Adam step carries that into adjacency.raw; a one-step run "
-        "would hide it"))
+        "known defect: with 2 OpenBLAS threads the (90, B*F) @ (B*F, 90) "
+        "matmul behind the adjacency gradient rounds differently (~1e-16) "
+        "for the second step's B=2 batch, and that step carries it into "
+        "adjacency.raw"))
     def test_blas_thread_count_keeps_checkpoint_bytes(self, tmp_path):
         # one facial-scale training epoch of two Adam steps, once with 1 and
         # once with 2 BLAS threads, each in its own process (BLAS reads the
@@ -383,3 +421,89 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run("eval", "--data", "x.json")
         assert exc.value.code == 1
+
+
+def lgrin_cli(*argv):
+    """Run the command line in its own process: (exit code, stderr text)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "lgrin.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": pythonpath},
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """A trained run next to one malformed file of each kind."""
+    root = tmp_path_factory.mktemp("bad")
+    assert run("synth", "--classes", "3", "--per-class", "4", "--m", "8", "--p", "4",
+               "--noise", "0.05", "--seed", "7", "--out", str(root / "ds")) == 0
+    doc = {"model": {"m": 8, "p": 4, "c": 3, "inception_layers": 1,
+                     "etas": [[8, 4]], "seed": 2},
+           "train": {"epochs": 1, "batch_size": 8, "seed": 1},
+           "data": {"manifest": str(root / "ds" / "manifest.json")},
+           "output_dir": str(root / "run")}
+    (root / "run.json").write_text(json.dumps(doc))
+    assert run("train", "--config", str(root / "run.json")) == 0
+    (root / "not_json.json").write_text("{")
+    doc["model"]["frobnicate"] = 1
+    (root / "unknown_key.json").write_text(json.dumps(doc))
+    (root / "junk.npz").write_text("not a zip archive\n")
+    arrays = checkpoint_arrays(root / "run" / "checkpoint.npz")
+    meta = json.loads(str(arrays["meta"]))
+    write_meta(root / "arch.npz", arrays, json.dumps({**meta, "arch": "transformer"}))
+    manifest = json.loads((root / "ds" / "manifest.json").read_text())
+    for name, features, csv in [("escape", "../run.json", None),
+                                ("cell", "a.csv", "1,x,3,4\n"),
+                                ("width", "a.csv", "1,2,3\n")]:
+        (root / name).mkdir()
+        (root / name / "manifest.json").write_text(json.dumps(
+            {**manifest, "samples": [{"features": features, "label": 0, "id": "a"}]}))
+        if csv is not None:
+            (root / name / "a.csv").write_text(csv)
+    (root / "broken").mkdir()
+    (root / "broken" / "manifest.json").write_text("{")
+    return root
+
+
+ERROR_TABLE = [
+    # id, argv ({r} is the fixture directory), exit code, text in the message
+    ("config-missing", "train --config {r}/missing.json", 1, "config file not found"),
+    ("config-not-json", "train --config {r}/not_json.json", 1, "invalid JSON"),
+    ("config-unknown-key", "train --config {r}/unknown_key.json", 1, "frobnicate"),
+    ("override-not-assignment", "train --config {r}/run.json --override train.epochs",
+     1, "is not KEY=VALUE"),
+    ("override-fractional", "train --config {r}/run.json --override train.epochs=1.5",
+     1, "epochs must be an integer"),
+    ("grid-not-json", "ablate --config {r}/run.json --grid {{ --out {r}/grid.csv",
+     1, "grid spec is not valid JSON"),
+    ("grid-not-list", 'ablate --config {r}/run.json --grid {{"layers":2}} --out {r}/grid.csv',
+     1, "must be a list"),
+    ("manifest-missing", "eval --checkpoint {r}/run/checkpoint.npz --data {r}/missing.json",
+     2, "manifest not found"),
+    ("manifest-not-json", "eval --checkpoint {r}/run/checkpoint.npz "
+     "--data {r}/broken/manifest.json", 2, "invalid JSON"),
+    ("manifest-escapes", "eval --checkpoint {r}/run/checkpoint.npz "
+     "--data {r}/escape/manifest.json", 2, "outside the dataset directory"),
+    ("csv-non-numeric", "eval --checkpoint {r}/run/checkpoint.npz "
+     "--data {r}/cell/manifest.json", 2, "non-numeric cell"),
+    ("csv-width", "eval --checkpoint {r}/run/checkpoint.npz --data {r}/width/manifest.json",
+     2, "expected 4 columns"),
+    ("checkpoint-not-npz", "eval --checkpoint {r}/junk.npz --data {r}/ds/manifest.json",
+     1, "not a model checkpoint"),
+    ("checkpoint-unknown-arch", "eval --checkpoint {r}/arch.npz --data {r}/ds/manifest.json",
+     1, "unknown arch 'transformer'"),
+    ("diverging-run", "train --config {r}/run.json --override train.lr0=1e300 "
+     "--override output_dir={r}/diverged", 3, "loss became non-finite"),
+]
+
+
+class TestErrorTable:
+    @pytest.mark.parametrize("argv, code, expected", [row[1:] for row in ERROR_TABLE],
+                             ids=[row[0] for row in ERROR_TABLE])
+    def test_one_line_and_exit_code(self, bad_inputs, argv, code, expected):
+        got, err = lgrin_cli(*argv.format(r=bad_inputs).split())
+        assert got == code, err
+        assert err.count("\n") == 1 and expected in err, err
+        assert "Traceback" not in err

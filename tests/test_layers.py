@@ -33,20 +33,20 @@ class TestGstarConv:
         rng = np.random.default_rng(0)
         mlp = L.init_branch(3, 4, rng)
         h = ad.constant(rng.normal(size=(5, 3)))
-        out = L.gstar_conv(h, ad.constant(np.zeros((5, 5))), mlp)
+        out = L.gstar_conv(ad.propagate(ad.constant(np.zeros((5, 5))), h), mlp)
         npt.assert_array_equal(out.values, np.zeros((5, 4)))
 
     def test_identity_configuration_passthrough(self):
         rng = np.random.default_rng(1)
         h = np.abs(rng.normal(size=(4, 3)))
-        out = L.gstar_conv(ad.constant(h), ad.constant(np.eye(4)),
+        out = L.gstar_conv(ad.propagate(ad.constant(np.eye(4)), ad.constant(h)),
                            identity_mlp(3))
         npt.assert_array_equal(out.values, h)
 
     def test_hand_swap_case(self):
         h = ad.constant([[1.0], [2.0]])
         a = ad.constant([[0.0, 1.0], [1.0, 0.0]])
-        out = L.gstar_conv(h, a, identity_mlp(1))
+        out = L.gstar_conv(ad.propagate(a, h), identity_mlp(1))
         npt.assert_array_equal(out.values, [[2.0], [1.0]])
 
     def test_output_nonnegative(self):
@@ -55,13 +55,13 @@ class TestGstarConv:
             mlp = L.init_branch(4, 6, rng)
             h = ad.constant(rng.normal(size=(5, 4)))
             a = ad.constant(np.abs(rng.normal(size=(5, 5))))
-            assert L.gstar_conv(h, a, mlp).values.min() >= 0.0
+            assert L.gstar_conv(ad.propagate(a, h), mlp).values.min() >= 0.0
 
     def test_output_width_is_eta(self):
         rng = np.random.default_rng(3)
         mlp = L.init_branch(7, 11, rng)
-        out = L.gstar_conv(ad.constant(np.zeros((4, 7))),
-                           ad.constant(np.zeros((4, 4))), mlp)
+        out = L.gstar_conv(ad.propagate(ad.constant(np.zeros((4, 4))),
+                                        ad.constant(np.zeros((4, 7)))), mlp)
         assert out.shape == (4, 11)
 
 

@@ -28,7 +28,7 @@ def random_sample(config, seed=0, scale=2.0):
 
 
 def logits(model, sample):
-    return mm.forward_shared(model, [sample])[1][0]
+    return mm.forward_shared(model, [sample])[1].values[0]
 
 
 def final_embeddings(model, sample):
@@ -111,7 +111,7 @@ class TestForward:
     def test_zero_features_zero_logits(self):
         model = mm.build_lgrin(small_config())
         s = SequenceSample(np.zeros((6, 5)), 0, "z")
-        npt.assert_array_equal(logits(model, s).values, np.zeros(3))
+        npt.assert_array_equal(logits(model, s), np.zeros(3))
 
     def test_output_length(self):
         model = mm.build_lgrin(small_config())
@@ -121,7 +121,7 @@ class TestForward:
         model = mm.build_lgrin(small_config())
         for seed in range(5):
             s = random_sample(model.config, seed=seed, scale=10.0)
-            assert np.all(np.isfinite(logits(model, s).values))
+            assert np.all(np.isfinite(logits(model, s)))
 
     def test_shape_mismatch(self):
         model = mm.build_lgrin(small_config())
@@ -131,14 +131,13 @@ class TestForward:
     def test_deterministic(self):
         model = mm.build_lgrin(small_config())
         s = random_sample(model.config, seed=3)
-        npt.assert_array_equal(logits(model, s).values,
-                               logits(model, s).values)
+        npt.assert_array_equal(logits(model, s), logits(model, s))
 
     def test_weighted_adjacency_mode(self):
         model = mm.build_lgrin(small_config(adjacency_mode="weighted"))
         assert model.graph is None and "adjacency.raw" not in model.registry
         out = logits(model, random_sample(model.config))
-        assert out.shape == (3,) and np.all(np.isfinite(out.values))
+        assert out.shape == (3,) and np.all(np.isfinite(out))
 
     def test_permutation_equivariance(self):
         # permuting frames together with adjacency rows/cols leaves the
@@ -147,14 +146,14 @@ class TestForward:
             cfg = small_config(pooling_mode=mode, seed=4)
             model = mm.build_lgrin(cfg)
             s = random_sample(cfg, seed=8)
-            base = logits(model, s).values
+            base = logits(model, s)
 
             perm = np.random.default_rng(5).permutation(cfg.m)
             permuted_model = mm.build_lgrin(cfg)
             raw = model.registry["adjacency.raw"].values
             permuted_model.registry["adjacency.raw"].values[...] = raw[np.ix_(perm, perm)]
             s_perm = SequenceSample(s.features[perm], s.label, s.id)
-            out = logits(permuted_model, s_perm).values
+            out = logits(permuted_model, s_perm)
             npt.assert_allclose(out, base, rtol=1e-12, atol=1e-12)
 
 
@@ -206,7 +205,7 @@ class TestSalientNode:
     def test_all_zero_embeddings(self):
         model = mm.build_lgrin(small_config())
         s = SequenceSample(np.zeros((6, 5)), 0, "z")
-        assert mm.salient_node(model, s) == 0
+        assert mm.salient_nodes(model, [s]) == [0]
 
     def test_matches_brute_force_count(self):
         model = mm.build_lgrin(small_config(seed=2))
@@ -221,14 +220,14 @@ class TestSalientNode:
                         best, best_val = i, h[i, q]
                 counts[best] += 1
             expected = int(np.flatnonzero(counts == counts.max())[0])
-            got = mm.salient_node(model, s)
+            got, = mm.salient_nodes(model, [s])
             assert got == expected
             assert 0 <= got < model.config.m
 
     def test_mean_pooling_rejected(self):
         model = mm.build_lgrin(small_config(pooling_mode="mean"))
         with pytest.raises(ConfigError):
-            mm.salient_node(model, random_sample(model.config))
+            mm.salient_nodes(model, [random_sample(model.config)])
 
 
 class TestBaselineGcn:
@@ -256,10 +255,10 @@ class TestCheckpoint:
         for build in (mm.build_lgrin, mm.build_baseline_gcn):
             model = build(small_config(seed=6))
             s = random_sample(model.config, seed=1)
-            before = logits(model, s).values
+            before = logits(model, s)
             path = mm.save_checkpoint(model, tmp_path / "model.npz")
             again = mm.load_checkpoint(path)
-            npt.assert_array_equal(logits(again, s).values, before)
+            npt.assert_array_equal(logits(again, s), before)
             assert again.arch == model.arch
             assert again.config == model.config
 

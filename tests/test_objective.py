@@ -38,22 +38,22 @@ class TestLossWeights:
 
 class TestClassificationLoss:
     def test_single_uniform(self):
-        loss = classification_loss([ad.constant(np.zeros(4))], [0])
+        loss = classification_loss(ad.constant(np.zeros((1, 4))), [0])
         assert abs(loss.item() - math.log(4.0)) < 1e-12
 
     def test_sum_linearity(self):
-        logits = ad.constant([1.0, -0.5, 2.0])
-        one = classification_loss([logits], [2]).item()
-        two = classification_loss([logits, logits], [2, 2]).item()
+        row = [1.0, -0.5, 2.0]
+        one = classification_loss(ad.constant([row]), [2]).item()
+        two = classification_loss(ad.constant([row, row]), [2, 2]).item()
         assert abs(two - 2.0 * one) < 1e-12
 
     def test_saturated_batch(self):
-        batch = [ad.constant([50.0, 0.0]), ad.constant([0.0, 50.0])]
+        batch = ad.constant([[50.0, 0.0], [0.0, 50.0]])
         assert classification_loss(batch, [0, 1]).item() < 1e-6
 
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
-            classification_loss([ad.constant(np.zeros(2))], [0, 1])
+            classification_loss(ad.constant(np.zeros((1, 2))), [0, 1])
 
 
 class TestGraphLearningLoss:

@@ -1,4 +1,5 @@
-"""Property tests: tape ops against straightforward reference implementations."""
+"""Property tests: tape ops against reference loops, and the invariants of the
+data helpers."""
 
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lgrin import autodiff as ad
+from lgrin import data as dd
 
 # few distinct values, both zero signs: ties are common and some of them
 # are between 0.0 and -0.0, which compare equal but differ in their bits
@@ -79,3 +81,81 @@ def test_neighborhood_max_matches_per_node_argmax(case):
         assert grad.tobytes() == ref_grad.tobytes()
         if track_kinks:
             assert tape.max_margin == ref_margin
+
+
+@st.composite
+def batched_max_cases(draw):
+    m = draw(st.integers(1, 8))
+    b = draw(st.integers(1, 4))
+    f = draw(st.integers(1, 4))
+    hv = draw(hnp.arrays(np.float64, (m, b, f), elements=st.sampled_from(VALUES)))
+    # one mask shared by the batch, or one per sample
+    mask = draw(hnp.arrays(np.bool_, st.sampled_from([(m, m), (b, m, m)])))
+    mask[..., np.arange(m), np.arange(m)] = True
+    g = draw(hnp.arrays(np.float64, (m, b, f), elements=st.sampled_from(UPSTREAM)))
+    return hv, mask, g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(batched_max_cases())
+def test_batched_neighborhood_max_matches_per_sample_reference(case):
+    hv, mask, g = case
+    per_sample = [reference_neighborhood_max(hv[:, s], mask if mask.ndim == 2 else mask[s],
+                                             g[:, s]) for s in range(hv.shape[1])]
+    ref_out = np.stack([out for out, _, _ in per_sample], axis=1)
+    ref_grad = np.stack([grad for _, grad, _ in per_sample], axis=1)
+    ref_margin = min(margin for _, _, margin in per_sample)
+
+    assert ad.neighborhood_max(ad.constant(hv), mask).values.tobytes() \
+        == ref_out.tobytes()
+    for track_kinks in (False, True):
+        out, grad, tape = taped(ad.parameter, hv, mask, g, track_kinks)
+        assert out.tobytes() == ref_out.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        if track_kinks:
+            assert tape.max_margin == ref_margin
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(t=st.integers(1, 12), m=st.integers(1, 12), p=st.integers(1, 3))
+def test_pad_or_truncate_is_cyclic_and_idempotent(t, m, p):
+    frames = np.arange(t * p, dtype=np.float64).reshape(t, p)
+    sample = dd.SequenceSample(frames, 1, "x")
+    out = dd.pad_or_truncate(sample, m)
+    assert out.features.shape == (m, p) and (out.label, out.id) == (1, "x")
+    # frame i is source frame i mod t: cyclic when short, the first m when long
+    np.testing.assert_array_equal(out.features, frames[np.arange(m) % t])
+    if t >= m:
+        np.testing.assert_array_equal(out.features, frames[:m])
+    again = dd.pad_or_truncate(out, m)
+    assert again.features.tobytes() == out.features.tobytes()
+
+
+@st.composite
+def split_cases(draw):
+    k = draw(st.integers(2, 5))
+    counts = draw(st.lists(st.integers(k, k + 6), min_size=1, max_size=4))
+    labels = [c for c, n in enumerate(counts) for _ in range(n)]
+    labels = draw(st.permutations(labels))
+    return k, labels, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(split_cases())
+def test_cv_split_partitions_stratifies_and_repeats(case):
+    k, labels, seed = case
+    ds = dd.GraphDataset([dd.SequenceSample(np.zeros((1, 1)), y, str(i))
+                          for i, y in enumerate(labels)], max(labels) + 1, 1, 1)
+    splits = dd.cv_split(ds, k, seed)
+    n = len(labels)
+    tests = [test for _, test in splits]
+    assert len(splits) == k
+    # the test folds partition the indices, and each train set is the rest
+    assert sorted(i for test in tests for i in test) == list(range(n))
+    for train, test in splits:
+        assert sorted(train + test) == list(range(n))
+    # stratified: every class spreads over the folds within one sample
+    for c in set(labels):
+        per_fold = [sum(labels[i] == c for i in test) for test in tests]
+        assert max(per_fold) - min(per_fold) <= 1
+    assert dd.cv_split(ds, k, seed) == splits

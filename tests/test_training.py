@@ -279,7 +279,7 @@ class TestTapeLifetime:
         gc.disable()
         try:
             with ad.GradTape() as tape:
-                a_eff, logits = mm.forward_shared(model, samples)
+                a_eff, logits, _ = mm.forward_shared(model, samples)
                 loss = total_loss(classification_loss(logits, [s.label for s in samples]),
                                   mm.graph_loss(model, a_eff, LossWeights()))
             grads = ad.backward(loss, tape)
