@@ -2,7 +2,7 @@
 
 Every command is deterministic given its flags and seeds, and emits files
 (or JSON on stdout); there is no interactive state. Exit codes: 0 success,
-1 usage/config error, 2 data error, 3 numerical failure.
+1 usage/config error, 2 data or I/O error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from . import training as tr
 from .data import (GraphDataset, SynthSpec, atomic_write, cv_split,
                    load_dataset, pad_or_truncate, save_dataset, synth_generate)
 from .errors import (ConfigError, ContractError, DataError, LgrinError,
-                     NumericalError, SplitError, is_int)
+                     NumericalError, SplitError, check_keys, config_from_json,
+                     is_int)
 from .objective import LossWeights
 
 EXIT_OK = 0
@@ -29,55 +30,9 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-
-def _field_names(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
-_TOP_KEYS = {"model", "train", "data", "output_dir"}
-_MODEL_KEYS = _field_names(mm.ModelConfig) | {"arch"}
-_TRAIN_KEYS = _field_names(tr.TrainConfig)
-_LOSS_WEIGHT_KEYS = _field_names(LossWeights)
-_DATA_KEYS = {"manifest", "synth"}
-_SYNTH_KEYS = _field_names(SynthSpec)
 _ABLATE_COLUMNS = ("adjacency_mode", "pooling_mode", "etas", "layers",
                    "lambda1", "lambda2", "lambda3", "accuracy",
                    "parameter_count", "model_seed", "train_seed")
-
-
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def load_run_config(path: str | Path) -> dict:
-    """Parse and structurally validate a run config file."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    _reject_unknown(doc, _TOP_KEYS, str(path))
-    if "model" not in doc:
-        raise ConfigError(f"{path}: missing required 'model' section")
-    _reject_unknown(doc["model"], _MODEL_KEYS, f"{path} model section")
-    if "train" in doc:
-        _reject_unknown(doc["train"], _TRAIN_KEYS, f"{path} train section")
-        if isinstance(doc["train"].get("loss_weights"), dict):
-            _reject_unknown(doc["train"]["loss_weights"], _LOSS_WEIGHT_KEYS,
-                            f"{path} loss_weights")
-    if "data" in doc:
-        _reject_unknown(doc["data"], _DATA_KEYS, f"{path} data section")
-        if "synth" in doc["data"]:
-            _reject_unknown(doc["data"]["synth"], _SYNTH_KEYS,
-                            f"{path} synth section")
-    doc["_base_dir"] = str(path.parent)
-    return doc
 
 
 def apply_overrides(doc: dict, overrides: list[str]) -> dict:
@@ -100,48 +55,73 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str):
-    if key not in doc:
-        raise ConfigError(f"config is missing required section {key!r}")
-    return doc[key]
-
-
-def model_config_from_section(section: dict) -> tuple[mm.ModelConfig, str]:
-    _reject_unknown(section, _MODEL_KEYS, "model section")
-    section = dict(section)
-    arch = section.pop("arch", "lgrin")
-    if arch not in mm.BUILDERS:
+def model_config_from_section(section) -> tuple[mm.ModelConfig, str]:
+    """The model section's ModelConfig, and the ``arch`` key kept beside it."""
+    if not isinstance(section, dict):
+        raise ConfigError("model section must be a JSON object")
+    fields = dict(section)
+    arch = fields.pop("arch", "lgrin")
+    if not isinstance(arch, str) or arch not in mm.BUILDERS:
         raise ConfigError(f"unknown arch {arch!r}")
-    try:
-        return mm.ModelConfig.from_dict(section), arch
-    except TypeError as exc:
-        raise ConfigError(f"bad model section: {exc}") from exc
+    return config_from_json(mm.ModelConfig, fields, "model section"), arch
 
 
-def build_model_from_section(section: dict) -> mm.LGrinModel:
-    config, arch = model_config_from_section(section)
-    return mm.BUILDERS[arch](config)
-
-
-def train_config_from_section(section: dict) -> tr.TrainConfig:
-    try:
-        return tr.TrainConfig.from_dict(section)
-    except TypeError as exc:
-        raise ConfigError(f"bad train section: {exc}") from exc
-
-
-def dataset_from_section(section: dict, base_dir: str) -> GraphDataset:
+def _data_source(section, base_dir: Path) -> Path | SynthSpec:
+    """The data section, not yet loaded: a manifest path (relative ones are
+    relative to the config file) or a synthetic spec."""
+    check_keys(section, ("manifest", "synth"), "data section")
     if "manifest" in section:
-        manifest = Path(section["manifest"])
-        if not manifest.is_absolute():
-            manifest = Path(base_dir) / manifest
-        return load_dataset(manifest)
+        if not isinstance(section["manifest"], str):
+            raise ConfigError(f"data manifest must be a path string, "
+                              f"got {section['manifest']!r}")
+        return base_dir / section["manifest"]
     if "synth" in section:
-        try:
-            return synth_generate(SynthSpec(**section["synth"]))
-        except TypeError as exc:
-            raise ConfigError(f"bad synth section: {exc}") from exc
+        return config_from_json(SynthSpec, section["synth"], "synth section")
     raise ConfigError("data section needs either 'manifest' or 'synth'")
+
+
+def _output_dir(value) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"output_dir must be a path string, got {value!r}")
+    return Path(value)
+
+
+def load_run_config(path: str | Path, overrides: list[str]) -> tuple[dict, dict]:
+    """Read a run config file, apply the overrides, then check it all once.
+
+    Returns the document as overridden, which ``train`` echoes into its
+    report, and its sections built: "model" as (ModelConfig, arch), "train"
+    as a TrainConfig, "data" as a manifest Path or a SynthSpec, and
+    "output_dir" as a Path.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must be a JSON object")
+    sections = {"model": model_config_from_section,
+                "train": lambda s: config_from_json(tr.TrainConfig, s, "train section"),
+                "data": lambda s: _data_source(s, path.parent),
+                "output_dir": _output_dir}
+    apply_overrides(doc, overrides)
+    check_keys(doc, sections, f"run config {path}")
+    if "model" not in doc:
+        raise ConfigError(f"{path}: missing required 'model' section")
+    return doc, {key: build(doc[key]) for key, build in sections.items() if key in doc}
+
+
+def _require(run: dict, key: str):
+    if key not in run:
+        raise ConfigError(f"config is missing required section {key!r}")
+    return run[key]
+
+
+def _dataset(source: Path | SynthSpec) -> GraphDataset:
+    return synth_generate(source) if isinstance(source, SynthSpec) else load_dataset(source)
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +148,15 @@ def _write_text(path: Path, text: str) -> Path:
 
 
 def cmd_train(args) -> int:
-    doc = apply_overrides(load_run_config(args.config), args.override)
-    model = build_model_from_section(_require(doc, "model"))
-    cfg = train_config_from_section(_require(doc, "train"))
-    ds = dataset_from_section(_require(doc, "data"), doc["_base_dir"])
-    out_dir = Path(_require(doc, "output_dir"))
-    model, report = tr.train(model, ds, cfg)
+    doc, run = load_run_config(args.config, args.override)
+    config, arch = run["model"]
+    cfg = _require(run, "train")
+    ds = _dataset(_require(run, "data"))
+    out_dir = _require(run, "output_dir")
+    model, report = tr.train(mm.BUILDERS[arch](config), ds, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = mm.save_checkpoint(model, out_dir / "checkpoint.npz")
-    echo = {k: v for k, v in doc.items() if k != "_base_dir"}
-    report_doc = {"report": report.to_dict(), "run_config": echo,
+    report_doc = {"report": report.to_dict(), "run_config": doc,
                   "parameter_count": mm.parameter_count(model)}
     report_path = _write_text(out_dir / "report.json",
                               json.dumps(report_doc, indent=2) + "\n")
@@ -187,18 +166,30 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _samples_for(model: mm.LGrinModel, manifest: str) -> list:
+    """The dataset at ``manifest``, padded, if its shape and classes fit the model."""
+    ds = load_dataset(manifest)
+    cfg = model.config
+    if (ds.target_length, ds.feature_dim) != (cfg.m, cfg.p):
+        raise DataError(f"dataset ({ds.target_length}, {ds.feature_dim}) does "
+                        f"not match model ({cfg.m}, {cfg.p})")
+    if ds.num_classes > cfg.c:
+        raise DataError(f"dataset has {ds.num_classes} classes, "
+                        f"model head only {cfg.c}")
+    return _padded(ds, cfg.m)
+
+
 def cmd_eval(args) -> int:
     model = mm.load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.data)
-    if ds.feature_dim != model.config.p or ds.target_length != model.config.m:
-        raise DataError(f"dataset ({ds.target_length}, {ds.feature_dim}) does "
-                        f"not match model ({model.config.m}, {model.config.p})")
-    metrics = tr.evaluate(model, _padded(ds, model.config.m))
-    metrics["n_samples"] = len(ds.samples)
+    samples = _samples_for(model, args.data)
+    metrics = tr.evaluate(model, samples)
+    metrics["n_samples"] = len(samples)
     text = json.dumps(metrics, indent=2)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        _write_text(out, text + "\n")
     return EXIT_OK
 
 
@@ -221,7 +212,7 @@ def _parse_grid(spec: str, axes: dict[str, list]) -> dict[str, list]:
         grid = json.loads(spec)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"grid spec is not valid JSON: {exc}") from exc
-    _reject_unknown(grid, set(axes), "grid spec")
+    check_keys(grid, axes, "grid spec")
     for key, values in grid.items():
         if not isinstance(values, list):
             raise ConfigError(f"grid {key!r} must be a list, got {values!r}")
@@ -234,16 +225,15 @@ def _parse_grid(spec: str, axes: dict[str, list]) -> dict[str, list]:
 
 
 def cmd_ablate(args) -> int:
-    doc = apply_overrides(load_run_config(args.config), args.override)
-    base_model_section = _require(doc, "model")
-    _reject_unknown(base_model_section, _MODEL_KEYS, "model section")
-    base_train = train_config_from_section(_require(doc, "train"))
-    ds = dataset_from_section(_require(doc, "data"), doc["_base_dir"])
+    _, run = load_run_config(args.config, args.override)
+    base, arch = run["model"]
+    base_train = _require(run, "train")
+    ds = _dataset(_require(run, "data"))
     axes = _parse_grid(args.grid, {
-        "adjacency_mode": [base_model_section.get("adjacency_mode", "learnable")],
-        "pooling_mode": [base_model_section.get("pooling_mode", "learnable_full")],
+        "adjacency_mode": [base.adjacency_mode],
+        "pooling_mode": [base.pooling_mode],
         "etas": [None],
-        "layers": [base_model_section.get("inception_layers", 2)],
+        "layers": [base.inception_layers],
         "lambdas": [list(dataclasses.astuple(base_train.loss_weights))],
     })
 
@@ -253,47 +243,40 @@ def cmd_ablate(args) -> int:
     test_samples = _padded(
         GraphDataset([ds.samples[i] for i in test_idx], ds.num_classes,
                      ds.feature_dim, ds.target_length, ds.name + "-test"),
-        int(base_model_section["m"]))
+        base.m)
 
+    # every cell's configs are built, and so checked, before any cell trains;
+    # a depth sweep without a filter sweep repeats the base's first pair
+    cells = [(dataclasses.replace(base, adjacency_mode=adj_mode, pooling_mode=pool_mode,
+                                  inception_layers=n_layers,
+                                  etas=[etas or base.etas[0]] * n_layers),
+              dataclasses.replace(base_train,
+                                  loss_weights=LossWeights(*[float(x) for x in lam])),
+              etas, lam)
+             for adj_mode, pool_mode, etas, n_layers, lam in itertools.product(*axes.values())]
     rows = []
-    for adj_mode, pool_mode, etas, n_layers, lam in itertools.product(*axes.values()):
-        section = dict(base_model_section)
-        section["adjacency_mode"] = adj_mode
-        section["pooling_mode"] = pool_mode
-        section["inception_layers"] = n_layers
-        if etas is not None:
-            section["etas"] = [list(etas)] * n_layers
-        elif section.get("etas") is not None:
-            # depth sweep without a filter sweep repeats the base config's
-            # first filter pair
-            section["etas"] = [list(section["etas"][0])] * n_layers
-        model = build_model_from_section(section)
-        cfg = dataclasses.replace(
-            base_train, loss_weights=LossWeights(*[float(x) for x in lam]))
-        model, _ = tr.train(model, train_ds, cfg)
+    for config, cfg, etas, lam in cells:
+        model, _ = tr.train(mm.BUILDERS[arch](config), train_ds, cfg)
         acc = tr.evaluate(model, test_samples)["unweighted_accuracy"]
         # one value per _ABLATE_COLUMNS entry, in that order
-        rows.append((adj_mode, pool_mode,
+        rows.append((config.adjacency_mode, config.pooling_mode,
                      "default" if etas is None else f"{etas[0]}x{etas[1]}",
-                     n_layers, *lam, acc, mm.parameter_count(model),
-                     section.get("seed", 0), cfg.seed))
+                     config.inception_layers, *lam, acc, mm.parameter_count(model),
+                     config.seed, cfg.seed))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        for row in [_ABLATE_COLUMNS, *rows]:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    _write_text(out, "".join(",".join(str(v) for v in row) + "\n"
+                             for row in [_ABLATE_COLUMNS, *rows]))
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    doc = apply_overrides(load_run_config(args.config), args.override)
-    config, arch = model_config_from_section(_require(doc, "model"))
+    _, run = load_run_config(args.config, args.override)
+    config, arch = run["model"]
     if arch != "lgrin":
         raise ConfigError("gradcheck runs on the lgrin architecture")
-    weights = None
-    if "train" in doc:
-        weights = train_config_from_section(doc["train"]).loss_weights
+    weights = run["train"].loss_weights if "train" in run else None
     errors, margin, attempt = tr.grad_check_random(
         config, eps=args.eps, seed=args.seed, weights=weights,
         corrupt=args.corrupt)
@@ -341,8 +324,7 @@ def cmd_inspect(args) -> int:
     # salient node per sample
     if not args.data:
         raise ConfigError("--what salient requires --data")
-    ds = load_dataset(args.data)
-    samples = _padded(ds, model.config.m)
+    samples = _samples_for(model, args.data)
     nodes = mm.salient_nodes(model, samples)
     text = "id,salient_node\n" + "".join(f"{s.id},{k}\n" for s, k in zip(samples, nodes))
     print(f"wrote {_write_text(prefix.with_name(prefix.name + '_salient.csv'), text)}")
@@ -432,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, SplitError, FileNotFoundError) as exc:
+    except (DataError, SplitError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, FloatingPointError) as exc:

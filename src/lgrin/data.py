@@ -16,7 +16,7 @@ from typing import BinaryIO, Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SplitError
+from .errors import ConfigError, DataError, SplitError, check_int_fields
 
 
 @dataclass
@@ -214,6 +214,9 @@ class SynthSpec:
     name: str = "synth"
 
     def __post_init__(self):
+        check_int_fields(self)
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a string, got {self.name!r}")
         if self.num_classes < 2 or self.p < 2:
             raise ConfigError("synthetic spec needs num_classes >= 2 and p >= 2")
         if self.per_class < 1 or self.m < 2:

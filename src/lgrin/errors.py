@@ -1,7 +1,10 @@
-"""Exception types shared across the package, plus the integer check that
-config dataclasses run before their own validation."""
+"""Exception types shared across the package, plus the checks behind every
+config: the integer check that config dataclasses run before their own
+validation, and the one function that makes a config dataclass from
+parsed JSON."""
 
 import dataclasses
+import typing
 
 
 class LgrinError(Exception):
@@ -44,3 +47,31 @@ def check_int_fields(config) -> None:
         value = getattr(config, f.name)
         if f.type in ("int", int) and not is_int(value):
             raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+
+
+def check_keys(doc, allowed, where: str) -> None:
+    """Raise ConfigError unless ``doc`` is a JSON object with only ``allowed`` keys."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise ConfigError(f"bad {where}: unknown keys {sorted(unknown)}")
+
+
+def config_from_json(cls, doc, where: str):
+    """Build the config dataclass ``cls`` from a parsed JSON object.
+
+    The dataclass's own fields are the schema: other keys are rejected, and
+    a field typed as a config dataclass is built from its sub-object the
+    same way. A TypeError or ValueError from the constructor or its
+    ``__post_init__`` becomes one ConfigError naming ``where``.
+    """
+    check_keys(doc, [f.name for f in dataclasses.fields(cls)], where)
+    hints = typing.get_type_hints(cls)
+    kwargs = {key: config_from_json(hints[key], value, key)
+              if dataclasses.is_dataclass(hints[key]) else value
+              for key, value in doc.items()}
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where}: {exc}") from exc

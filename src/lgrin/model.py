@@ -29,7 +29,8 @@ from . import autodiff as ad
 from . import layers as L
 from .autodiff import Tensor
 from .data import SequenceSample, atomic_write
-from .errors import ConfigError, ContractError, ShapeError, check_int_fields
+from .errors import (ConfigError, ContractError, ShapeError, check_int_fields,
+                     config_from_json, is_int)
 from .objective import LossWeights, graph_learning_loss
 
 ADJACENCY_MODES = ("learnable", "binary", "weighted")
@@ -66,9 +67,12 @@ class ModelConfig:
             raise ConfigError("mask_threshold must be non-negative")
         etas = self.etas
         if etas is None:
-            etas = tuple((128, 64) for _ in range(self.inception_layers))
-        else:
-            etas = tuple((int(a), int(b)) for a, b in etas)
+            etas = ((128, 64),) * self.inception_layers
+        elif not (isinstance(etas, (list, tuple)) and all(
+                isinstance(e, (list, tuple)) and len(e) == 2 and all(map(is_int, e))
+                for e in etas)):
+            raise TypeError(f"etas must be pairs of integers, got {etas!r}")
+        etas = tuple(tuple(e) for e in etas)
         if len(etas) != self.inception_layers:
             raise ConfigError(f"{len(etas)} eta pairs for "
                               f"{self.inception_layers} layers")
@@ -86,18 +90,6 @@ class ModelConfig:
     def head_input_width(self) -> int:
         q = self.layer_widths()[-1]
         return 3 * q if self.pooling_mode == "learnable_full" else q
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["etas"] = [list(e) for e in self.etas]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        if d.get("etas") is not None:
-            d["etas"] = tuple(tuple(e) for e in d["etas"])
-        return cls(**d)
 
 
 @dataclass
@@ -306,7 +298,7 @@ def save_checkpoint(model: LGrinModel, path: str | Path) -> Path:
     """
     path = Path(path)
     meta = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
-            "arch": model.arch, "config": model.config.to_dict()}
+            "arch": model.arch, "config": dataclasses.asdict(model.config)}
     arrays = {"meta": np.array(json.dumps(meta)),
               **{f"param/{name}": t.values for name, t in model.registry.items()}}
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -338,12 +330,10 @@ def load_checkpoint(path: str | Path) -> LGrinModel:
         for key in ("arch", "config"):
             if key not in meta:
                 raise ConfigError(f"{path}: checkpoint meta has no {key!r}")
-        if meta["arch"] not in BUILDERS:
+        if not isinstance(meta["arch"], str) or meta["arch"] not in BUILDERS:
             raise ConfigError(f"{path}: unknown arch {meta['arch']!r}")
-        try:
-            config = ModelConfig.from_dict(meta["config"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad checkpoint config: {exc}") from exc
+        config = config_from_json(ModelConfig, meta["config"],
+                                  f"checkpoint config in {path}")
         model = BUILDERS[meta["arch"]](config)
         for name, tensor in model.registry.items():
             key = f"param/{name}"

@@ -48,18 +48,6 @@ class TrainConfig:
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.epsilon > 0):
             raise ConfigError("invalid Adam hyperparameters")
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["loss_weights"] = dataclasses.asdict(self.loss_weights)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if isinstance(d.get("loss_weights"), dict):
-            d["loss_weights"] = LossWeights(**d["loss_weights"])
-        return cls(**d)
-
 
 @dataclass
 class TrainReport:
@@ -217,7 +205,7 @@ def train(model: mm.LGrinModel, dataset: GraphDataset, cfg: TrainConfig,
         final_loss=loss_curve[-1], final_accuracy=final_accuracy,
         epochs=cfg.epochs, total_steps=state.step,
         wall_clock_seconds=time.perf_counter() - started,
-        seed=cfg.seed, config=cfg.to_dict())
+        seed=cfg.seed, config=dataclasses.asdict(cfg))
     return model, report
 
 

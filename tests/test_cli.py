@@ -12,6 +12,7 @@ import pytest
 
 from lgrin import cli
 from lgrin import model as mm
+from lgrin import training as tr
 from lgrin.data import load_dataset
 
 
@@ -47,6 +48,18 @@ def trained(tmp_path, run_config):
     assert run("train", "--config", str(run_config)) == 0
     out = tmp_path / "run"
     return out / "checkpoint.npz", out / "report.json"
+
+
+def fail_fsync(monkeypatch, failing=1):
+    """Make the ``failing``-th fsync of the run fail as on a full disk."""
+    syncs = []
+
+    def fsync(fd):
+        syncs.append(fd)
+        if len(syncs) == failing:
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", fsync)
 
 
 class TestSynth:
@@ -148,6 +161,16 @@ class TestEval:
             "--data", str(dataset_dir / "manifest.json"), "--out", str(out))
         assert "unweighted_accuracy" in json.loads(out.read_text())
 
+    def test_failed_write_leaves_no_file(self, trained, dataset_dir, tmp_path,
+                                         monkeypatch, capsys):
+        ckpt, _ = trained
+        out = tmp_path / "metrics" / "metrics.json"
+        fail_fsync(monkeypatch)
+        assert run("eval", "--checkpoint", str(ckpt), "--data",
+                   str(dataset_dir / "manifest.json"), "--out", str(out)) == 2
+        one_line_error(capsys, "No space left on device")
+        assert list(out.parent.iterdir()) == []
+
 
 class TestAblate:
     def test_grid_rows_and_param_counts(self, tmp_path, run_config):
@@ -184,6 +207,16 @@ class TestAblate:
         assert len(lines) == 4
         assert {line.split(",")[4] for line in lines[1:]} == \
             {"0.1", "0.01", "1.0"}
+
+    def test_failed_write_leaves_no_file(self, tmp_path, run_config, monkeypatch,
+                                         capsys):
+        out = tmp_path / "grid" / "ablation.csv"
+        fail_fsync(monkeypatch)
+        assert run("ablate", "--config", str(run_config), "--grid", "{}",
+                   "--out", str(out), "--holdout-folds", "4",
+                   "--override", "train.epochs=1") == 2
+        one_line_error(capsys, "No space left on device")
+        assert list(out.parent.iterdir()) == []
 
 
 class TestGradcheck:
@@ -281,18 +314,13 @@ class TestInspect:
             "checkpoint.npz", "report.json"]
 
     @pytest.mark.parametrize("failing", [1, 2], ids=["csv", "pgm"])
-    def test_failed_write_leaves_no_partial_file(self, trained, monkeypatch, failing):
+    def test_failed_write_leaves_no_partial_file(self, trained, monkeypatch, capsys,
+                                                 failing):
         ckpt, _ = trained
-        syncs = []
-
-        def fsync(fd):
-            syncs.append(fd)
-            if len(syncs) == failing:
-                raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(os, "fsync", fsync)
-        with pytest.raises(OSError, match="No space"):
-            run("inspect", "--checkpoint", str(ckpt), "--what", "adjacency")
+        fail_fsync(monkeypatch, failing)
+        capsys.readouterr()
+        assert run("inspect", "--checkpoint", str(ckpt), "--what", "adjacency") == 2
+        one_line_error(capsys, "No space left on device")
         written = ["checkpoint_adjacency.csv"] if failing == 2 else []
         assert sorted(p.name for p in ckpt.parent.iterdir()) == sorted(
             ["checkpoint.npz", "report.json", *written])
@@ -357,7 +385,10 @@ class TestBadInputs:
         (lambda meta: meta.pop("arch"), "no 'arch'"),
         (lambda meta: meta.pop("config"), "no 'config'"),
         (lambda meta: meta["config"].update(frobnicate=1), "bad checkpoint config"),
-    ], ids=["unknown-arch", "no-arch", "no-config", "unknown-config-key"])
+        (lambda meta: meta.update(arch=["lgrin"]), "unknown arch ['lgrin']"),
+        (lambda meta: meta["config"].update(etas=[[8.5, 4]]), "etas must be pairs of integers"),
+    ], ids=["unknown-arch", "no-arch", "no-config", "unknown-config-key", "arch-not-string",
+            "etas-not-integers"])
     def test_checkpoint_meta(self, trained, dataset_dir, tmp_path, capsys,
                              edit, expected):
         ckpt, _ = trained
@@ -410,6 +441,14 @@ class TestBadInputs:
         one_line_error(capsys, expected)
         assert not (tmp_path / "grid.csv").exists()
 
+    def test_bad_grid_cell_fails_before_any_training(self, tmp_path, run_config,
+                                                     monkeypatch, capsys):
+        monkeypatch.setattr(tr, "train", lambda *args: pytest.fail("a cell trained"))
+        grid = '{"adjacency_mode": ["learnable", "magic"]}'
+        assert run("ablate", "--config", str(run_config), "--grid", grid,
+                   "--out", str(tmp_path / "grid.csv"), "--holdout-folds", "4") == 1
+        one_line_error(capsys, "unknown adjacency_mode 'magic'")
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_1(self):
@@ -446,6 +485,13 @@ def bad_inputs(tmp_path_factory):
            "output_dir": str(root / "run")}
     (root / "run.json").write_text(json.dumps(doc))
     assert run("train", "--config", str(root / "run.json")) == 0
+    (root / "weights5.json").write_text(json.dumps(
+        {**doc, "train": {**doc["train"], "loss_weights": 5}}))
+    (root / "no_m.json").write_text(json.dumps(
+        {**doc, "model": {k: v for k, v in doc["model"].items() if k != "m"}}))
+    for name, classes, p in [("p5", 3, 5), ("c4", 4, 4)]:
+        assert run("synth", "--classes", str(classes), "--per-class", "2", "--m", "8",
+                   "--p", str(p), "--out", str(root / name)) == 0
     (root / "not_json.json").write_text("{")
     doc["model"]["frobnicate"] = 1
     (root / "unknown_key.json").write_text(json.dumps(doc))
@@ -496,6 +542,45 @@ ERROR_TABLE = [
      1, "unknown arch 'transformer'"),
     ("diverging-run", "train --config {r}/run.json --override train.lr0=1e300 "
      "--override output_dir={r}/diverged", 3, "loss became non-finite"),
+    # sections are checked after the overrides are applied
+    ("override-data-not-object", "train --config {r}/run.json --override data=5",
+     1, "data section must be a JSON object"),
+    ("override-output-dir-not-string", "train --config {r}/run.json --override output_dir=5",
+     1, "output_dir must be a path string"),
+    ("override-manifest-not-string", "train --config {r}/run.json --override data.manifest=5",
+     1, "data manifest must be a path string"),
+    ("loss-weights-not-object", "train --config {r}/weights5.json",
+     1, "loss_weights must be a JSON object"),
+    ("override-loss-weights-not-object",
+     "train --config {r}/run.json --override train.loss_weights=5",
+     1, "loss_weights must be a JSON object"),
+    ("etas-ragged", "train --config {r}/run.json --override model.etas=[[1,2,3],[1,2]]",
+     1, "etas must be pairs of integers"),
+    ("etas-string", 'train --config {r}/run.json --override model.etas="ab"',
+     1, "etas must be pairs of integers"),
+    ("etas-not-integers", 'train --config {r}/run.json --override model.etas=[[16.7,"8"]]',
+     1, "etas must be pairs of integers"),
+    ("arch-not-string", "train --config {r}/run.json --override model.arch=[1]",
+     1, "unknown arch [1]"),
+    ("synth-fractional", "train --config {r}/run.json --override "
+     'data={{"synth":{{"num_classes":3,"per_class":2.5,"m":8,"p":4}}}}',
+     1, "per_class must be an integer"),
+    ("synth-name-not-string", "train --config {r}/run.json --override "
+     'data={{"synth":{{"num_classes":3,"per_class":2,"m":8,"p":4,"name":5}}}}',
+     1, "name must be a string"),
+    ("override-unknown-key", "train --config {r}/run.json --override bogus=1",
+     1, "unknown keys ['bogus']"),
+    ("override-unknown-data-key", "train --config {r}/run.json --override data.bogus=1",
+     1, "bad data section: unknown keys ['bogus']"),
+    ("ablate-model-without-m", "ablate --config {r}/no_m.json --grid {{}} --out {r}/grid.csv",
+     1, "required positional argument: 'm'"),
+    ("ablate-base-train-rejects", "ablate --config {r}/run.json --grid {{}} "
+     "--override model.inception_layers=2 --out {r}/grid.csv", 1, "1 eta pairs for 2 layers"),
+    # eval and inspect share one dataset check
+    ("salient-width", "inspect --checkpoint {r}/run/checkpoint.npz --what salient "
+     "--data {r}/p5/manifest.json", 2, "does not match model (8, 4)"),
+    ("eval-more-classes", "eval --checkpoint {r}/run/checkpoint.npz --data {r}/c4/manifest.json",
+     2, "dataset has 4 classes, model head only 3"),
 ]
 
 

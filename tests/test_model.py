@@ -1,5 +1,8 @@
 """Model assembly, width laws, parameter accounting, saliency, persistence."""
 
+import dataclasses
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,7 +12,7 @@ from lgrin import autodiff as ad
 from lgrin import layers as L
 from lgrin import model as mm
 from lgrin.data import SequenceSample
-from lgrin.errors import ConfigError, ShapeError
+from lgrin.errors import ConfigError, ShapeError, config_from_json
 
 FACIAL = dict(m=90, p=136, c=6)
 TABLE_GRID = [(16, 32), (32, 64), (64, 128), (128, 256)]
@@ -67,7 +70,15 @@ class TestModelConfig:
 
     def test_dict_roundtrip(self):
         cfg = small_config(adjacency_mode="binary", pooling_mode="max")
-        assert mm.ModelConfig.from_dict(cfg.to_dict()) == cfg
+        doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert config_from_json(mm.ModelConfig, doc, "model") == cfg
+
+    @pytest.mark.parametrize("etas", [[[16.7, 8]], [["8", 4]], [[8, 4, 2]], "ab", 5,
+                                      [[True, 4]]])
+    def test_etas_must_be_integer_pairs(self, etas):
+        with pytest.raises(ConfigError, match="bad model: etas must be pairs of integers"):
+            config_from_json(mm.ModelConfig, {"m": 6, "p": 5, "c": 3, "etas": etas,
+                                              "inception_layers": 1}, "model")
 
 
 class TestBuild:

@@ -11,7 +11,7 @@ from lgrin import autodiff as ad
 from lgrin import data as dd
 from lgrin import model as mm
 from lgrin import training as tr
-from lgrin.errors import ConfigError, ContractError, NumericalError
+from lgrin.errors import ConfigError, ContractError, NumericalError, config_from_json
 from lgrin.objective import LossWeights, classification_loss, total_loss
 
 
@@ -43,6 +43,37 @@ class TestSchedule:
     def test_epochs_zero_rejected(self):
         with pytest.raises(ConfigError):
             tr.TrainConfig(epochs=0)
+
+
+class TestConfigFromJson:
+    def test_nested_loss_weights_built(self):
+        cfg = config_from_json(tr.TrainConfig, {"epochs": 2, "loss_weights": {
+            "lambda1": 0.5}}, "train section")
+        assert cfg == tr.TrainConfig(epochs=2, loss_weights=LossWeights(lambda1=0.5))
+
+    @pytest.mark.parametrize("doc, expected", [
+        ([1], "train section must be a JSON object"),
+        ({"epochs": 1, "bogus": 1}, "bad train section: unknown keys ['bogus']"),
+        ({"epochs": 1, "loss_weights": 5}, "loss_weights must be a JSON object"),
+        ({"epochs": 1, "loss_weights": {"lambda4": 1}},
+         "bad loss_weights: unknown keys ['lambda4']"),
+        ({"epochs": 1, "loss_weights": {"lambda1": "x"}}, "bad loss_weights: "),
+        ({}, "bad train section: "),
+        ({"epochs": 1, "lr0": "fast"}, "bad train section: "),
+        ({"epochs": 1.5}, "epochs must be an integer"),
+    ], ids=["not-object", "unknown-key", "weights-not-object", "unknown-weight",
+            "weight-not-number", "missing-epochs", "lr-not-number", "fractional-epochs"])
+    def test_one_config_error(self, doc, expected):
+        with pytest.raises(ConfigError) as exc:
+            config_from_json(tr.TrainConfig, doc, "train section")
+        assert expected in str(exc.value)
+
+    def test_report_echoes_nested_weights(self):
+        cfg = tr.TrainConfig(epochs=1, batch_size=16, loss_weights=LossWeights(0.2, 0.3, 0.0))
+        _, report = tr.train(mm.build_lgrin(small_config()), small_dataset(), cfg)
+        assert report.config["loss_weights"] == {"lambda1": 0.2, "lambda2": 0.3,
+                                                 "lambda3": 0.0}
+        assert config_from_json(tr.TrainConfig, report.config, "train section") == cfg
 
 
 class TestAdam:
