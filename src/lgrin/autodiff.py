@@ -390,54 +390,80 @@ def _unordered_ties(values: np.ndarray) -> bool:
     return bool(np.isnan(values).any() or (np.signbit(values) & (values == 0.0)).any())
 
 
+# Columns per block of a mask group's (M, n) view: a block holds about
+# BLOCK_CELLS float64 cells (512 KB), so each node's gather reads a block
+# that stays in a 2 MB per-core L2 cache.
+BLOCK_CELLS = 1 << 16
+
+
 def neighborhood_max(h: Tensor, neighbor_mask: np.ndarray) -> Tensor:
     """Node i of the output is the max of h over i's neighborhood, per cell.
 
     ``h`` is (M, ..., F) with the nodes on axis 0: one (M, F) sample or an
     (M, B, F) batch. ``neighbor_mask`` is a boolean (M, M) array shared by
     every sample, or for an (M, B, F) batch a (B, M, M) stack with one mask
-    per sample; every node must select at least one neighbor. A shared mask
-    gathers ``h[rows]`` once per node for the whole batch. Ties go to the
-    lowest node index, signed zeros included: the output copies that entry
-    and the gradient routes to it per cell. The routing index is taken
-    only when a gradient will be routed (``h`` requires grad on an active
-    tape) or a kink-tracking tape needs the tie margins. When ``h`` holds
-    no -0.0 or NaN, tied entries have equal bits, so the output is a plain
-    max and the index is the first entry equal to it.
+    per sample; every node must select at least one neighbor. Each mask
+    covers a group of columns: the shared mask the whole batch, viewed as
+    (M, B*F), and a per-sample mask its own sample's (M, F). The columns of
+    a group are walked in blocks of ``BLOCK_CELLS // M`` (at least one);
+    each block is made contiguous once, and every node's gather
+    ``block[rows]`` and its max run inside it. Ties go to the lowest node index, signed zeros included: the
+    output copies that entry and the gradient routes to it per cell. The
+    routing index is taken only when a gradient will be routed (``h``
+    requires grad on an active tape) or a kink-tracking tape needs the tie
+    margins. When ``h`` holds no -0.0 or NaN, tied entries have equal bits,
+    so the output is a plain max and the index is the first entry equal to
+    it.
     """
     hv = h.values
     m = hv.shape[0]
     mask = np.asarray(neighbor_mask, dtype=bool)
     if not (mask.shape == (m, m) or (hv.ndim == 3 and mask.shape == (hv.shape[1], m, m))):
         raise ShapeError(f"mask shape {mask.shape} does not match features {hv.shape}")
-    empty = np.nonzero(~mask.any(axis=-1))[-1]
+    counts = mask.sum(axis=-1)
+    empty = np.nonzero(counts == 0)[-1]
     if empty.size:
         raise ContractError(f"empty neighborhood for node {empty[0]}")
-    # (node mask, index of the samples it covers): the shared mask covers
-    # the whole batch, a per-sample mask its own sample
-    groups = ([(mask, ())] if mask.ndim == 2
-              else [(mask[b], (b,)) for b in range(mask.shape[0])])
     tape = active_tape()
-    routed = tape is not None and (h.requires_grad or tape.track_kinks)
+    tracking = tape is not None and tape.track_kinks
+    routed = tracking or (tape is not None and h.requires_grad)
     ties = _unordered_ties(hv)
-    out = np.empty_like(hv)
-    # per output cell, the flat index of the input cell it copies
-    cell = np.arange(hv[0].size).reshape(hv.shape[1:])
-    source = np.empty(hv.shape, dtype=np.intp) if routed else None
-    for node_mask, at in groups:
-        neighbors = np.split(np.nonzero(node_mask)[1], np.cumsum(node_mask.sum(axis=1))[:-1])
-        for i, rows in enumerate(neighbors):
-            sub = hv[(rows, *at)]
-            if ties:
-                k = sub.argmax(axis=0)
-                out[(i, *at)] = np.take_along_axis(sub, k[None], axis=0)[0]
-            else:
-                out[(i, *at)] = top = sub.max(axis=0)
-                if routed:
-                    k = (sub == top).argmax(axis=0)
-            if routed:
-                source[(i, *at)] = rows[k] * cell.size + cell[at]
-                _track_max_margin(sub)
+    out = np.empty(hv.shape)
+    # per output cell, the node of the input cell it copies
+    source = np.empty(hv.shape, dtype=np.int32) if routed else None
+    # one mask per group of columns: (M, group, n) views put group g's
+    # (M, n) columns at [:, g]
+    masks = mask.reshape(-1, m, m)
+    h3 = hv.reshape(m, len(masks), -1)
+    out3 = out.reshape(h3.shape)
+    source3 = source.reshape(h3.shape) if routed else None
+    # every (group, node)'s neighbor rows, in mask order, and their ranks
+    # m - node, largest at the lowest node (node indices fit in int32,
+    # since an (M, M) mask fits in memory)
+    ends = np.cumsum(counts.ravel()).tolist()
+    nodes = np.nonzero(masks)[-1]
+    ranks = (m - nodes).astype(np.int32)[:, None]
+    neighbors = [(nodes[a:b], ranks[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    width = max(1, BLOCK_CELLS // m)
+    for g in range(len(masks)):
+        for c0 in range(0, h3.shape[2], width):
+            cols = slice(c0, c0 + width)
+            block = np.ascontiguousarray(h3[:, g, cols])
+            for i in range(m):
+                rows, rank = neighbors[g * m + i]
+                sub = block[rows]
+                if ties:
+                    k = sub.argmax(axis=0)
+                    out3[i, g, cols] = np.take_along_axis(sub, k[None], axis=0)[0]
+                    if routed:
+                        source3[i, g, cols] = rows[k]
+                else:
+                    out3[i, g, cols] = top = sub.max(axis=0)
+                    if routed:
+                        # the lowest neighbor equal to the max has the largest rank
+                        source3[i, g, cols] = m - ((sub == top) * rank).max(axis=0)
+                if tracking:
+                    _track_max_margin(sub)
     if not routed:
         # still one tape node per op; h gets no gradient through it
         return _emit((h,), out, lambda g: (None,))
@@ -445,7 +471,10 @@ def neighborhood_max(h: Tensor, neighbor_mask: np.ndarray) -> Tensor:
     def back(g: np.ndarray):
         # bincount adds each input cell's terms in output-node order, as
         # the per-node reference in tests/test_properties.py does
-        gh = np.bincount(source.ravel(), weights=g.ravel(), minlength=hv.size)
+        stride = hv[0].size  # cells per node
+        cells = np.multiply(source.reshape(m, stride), stride, dtype=np.intp)
+        cells += np.arange(stride)
+        gh = np.bincount(cells.ravel(), weights=g.ravel(), minlength=hv.size)
         return (gh.reshape(hv.shape),)
 
     return _emit((h,), out, back)

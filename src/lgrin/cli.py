@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model as mm
 from . import training as tr
-from .data import (GraphDataset, SynthSpec, atomic_write, cv_split,
+from .data import (GraphDataset, SynthSpec, atomic_write_text, cv_split,
                    load_dataset, pad_or_truncate, save_dataset, synth_generate)
 from .errors import (ConfigError, ContractError, DataError, LgrinError,
                      NumericalError, SplitError, check_keys, config_from_json,
@@ -142,11 +142,6 @@ def _padded(ds: GraphDataset, m: int):
     return [pad_or_truncate(s, m) for s in ds.samples]
 
 
-def _write_text(path: Path, text: str) -> Path:
-    """Write a finished text file atomically: the whole file or none of it."""
-    return atomic_write(path, lambda fh: fh.write(text.encode("utf-8")))
-
-
 def cmd_train(args) -> int:
     doc, run = load_run_config(args.config, args.override)
     config, arch = run["model"]
@@ -158,8 +153,8 @@ def cmd_train(args) -> int:
     ckpt = mm.save_checkpoint(model, out_dir / "checkpoint.npz")
     report_doc = {"report": report.to_dict(), "run_config": doc,
                   "parameter_count": mm.parameter_count(model)}
-    report_path = _write_text(out_dir / "report.json",
-                              json.dumps(report_doc, indent=2) + "\n")
+    report_path = atomic_write_text(out_dir / "report.json",
+                                    json.dumps(report_doc, indent=2) + "\n")
     print(f"checkpoint: {ckpt}")
     print(f"report: {report_path}")
     print(f"final train accuracy: {report.final_accuracy:.4f}")
@@ -189,7 +184,7 @@ def cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        _write_text(out, text + "\n")
+        atomic_write_text(out, text + "\n")
     return EXIT_OK
 
 
@@ -265,8 +260,8 @@ def cmd_ablate(args) -> int:
                      config.seed, cfg.seed))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_text(out, "".join(",".join(str(v) for v in row) + "\n"
-                             for row in [_ABLATE_COLUMNS, *rows]))
+    atomic_write_text(out, "".join(",".join(str(v) for v in row) + "\n"
+                                   for row in [_ABLATE_COLUMNS, *rows]))
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
@@ -319,7 +314,7 @@ def cmd_inspect(args) -> int:
         csv_text = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in values)
         pgm_text = _pgm_text(values, invert=args.invert)
         for suffix, text in (("_adjacency.csv", csv_text), ("_adjacency.pgm", pgm_text)):
-            print(f"wrote {_write_text(prefix.with_name(prefix.name + suffix), text)}")
+            print(f"wrote {atomic_write_text(prefix.with_name(prefix.name + suffix), text)}")
         return EXIT_OK
     # salient node per sample
     if not args.data:
@@ -327,7 +322,7 @@ def cmd_inspect(args) -> int:
     samples = _samples_for(model, args.data)
     nodes = mm.salient_nodes(model, samples)
     text = "id,salient_node\n" + "".join(f"{s.id},{k}\n" for s, k in zip(samples, nodes))
-    print(f"wrote {_write_text(prefix.with_name(prefix.name + '_salient.csv'), text)}")
+    print(f"wrote {atomic_write_text(prefix.with_name(prefix.name + '_salient.csv'), text)}")
     return EXIT_OK
 
 

@@ -136,7 +136,8 @@ def atomic_write(path: str | Path, write: Callable[[BinaryIO], None]) -> Path:
 
     Readers see either the previous file or the complete new one. If
     ``write`` raises, the previous file is left as it was and the temp
-    file is removed.
+    file is removed; an ``OSError`` is raised again naming ``path``, not
+    the temp file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
@@ -146,10 +147,18 @@ def atomic_write(path: str | Path, write: Callable[[BinaryIO], None]) -> Path:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    """Write a finished UTF-8 text file atomically: the whole file or none of it."""
+    return atomic_write(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def save_dataset(ds: GraphDataset, out_dir: str | Path, force: bool = False) -> Path:
@@ -157,7 +166,9 @@ def save_dataset(ds: GraphDataset, out_dir: str | Path, force: bool = False) -> 
 
     Numbers are written with 17 significant digits so a reload reproduces
     the float64 values exactly. Each sample's CSV is named after its id, so
-    ids must be distinct plain file names.
+    ids must be distinct plain file names. Every file is written atomically
+    and the manifest last, so a save that fails part way never leaves a
+    new manifest naming a missing or partial CSV.
     """
     seen: set[str] = set()
     for s in ds.samples:
@@ -175,15 +186,13 @@ def save_dataset(ds: GraphDataset, out_dir: str | Path, force: bool = False) -> 
     entries = []
     for s in ds.samples:
         rel = f"{s.id}.csv"
-        with open(out_dir / rel, "w", encoding="utf-8", newline="\n") as fh:
-            for row in s.features:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        text = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in s.features)
+        atomic_write_text(out_dir / rel, text)
         entries.append({"features": rel, "label": int(s.label), "id": s.id})
     doc = {"name": ds.name, "num_classes": ds.num_classes,
            "feature_dim": ds.feature_dim, "target_length": ds.target_length,
            "samples": entries}
-    manifest_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return manifest_path
+    return atomic_write_text(manifest_path, json.dumps(doc, indent=2) + "\n")
 
 
 def pad_or_truncate(s: SequenceSample, m: int) -> SequenceSample:

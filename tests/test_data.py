@@ -1,6 +1,7 @@
 """Dataset loading, padding, synthesis, and split tests."""
 
 import json
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -113,6 +114,40 @@ class TestLoadDataset:
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
         dd.atomic_write(path, lambda fh: fh.write(b"new"))
         assert path.read_bytes() == b"new"
+
+    def test_atomic_write_error_names_target(self, tmp_path):
+        target = tmp_path / "nodir" / "m.json"
+        with pytest.raises(OSError) as info:
+            dd.atomic_write(target, lambda fh: fh.write(b"x"))
+        assert str(info.value) == f"cannot write {target}: No such file or directory"
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_interrupted_save_leaves_no_manifest(self, tmp_path, monkeypatch):
+        ds = dd.synth_generate(dd.SynthSpec(num_classes=2, per_class=2, m=3,
+                                            p=2, seed=0))
+        real_fsync, syncs = os.fsync, []
+
+        def fsync(fd):
+            syncs.append(fd)
+            if len(syncs) == 3:  # the third CSV
+                raise OSError(28, "No space left on device")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        out = tmp_path / "out"
+        third = out / f"{ds.samples[2].id}.csv"
+        with pytest.raises(OSError) as info:
+            dd.save_dataset(ds, out)
+        assert str(info.value) == f"cannot write {third}: No space left on device"
+        # the first two CSVs are whole, and nothing names or holds the third
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted(f"{s.id}.csv" for s in ds.samples[:2])
+        for s in ds.samples[:2]:
+            npt.assert_array_equal(dd._read_csv_matrix(out / f"{s.id}.csv", 2),
+                                   s.features)
+        monkeypatch.setattr(os, "fsync", real_fsync)
+        again = dd.load_dataset(dd.save_dataset(ds, out))
+        assert [s.id for s in again.samples] == [s.id for s in ds.samples]
 
     @staticmethod
     def two_samples(id_a, id_b):

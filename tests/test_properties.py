@@ -1,10 +1,11 @@
-"""Property tests: tape ops against reference loops, and the invariants of the
-data helpers."""
+"""Property tests: tape ops against reference loops and central finite
+differences, and the invariants of the data helpers."""
 
 import math
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -96,15 +97,20 @@ def batched_max_cases(draw):
     return hv, mask, g
 
 
+def batched_reference(hv, mask, g):
+    """The per-node reference run on each sample of an (M, B, F) batch."""
+    per_sample = [reference_neighborhood_max(hv[:, s], mask if mask.ndim == 2 else mask[s],
+                                             g[:, s]) for s in range(hv.shape[1])]
+    return (np.stack([out for out, _, _ in per_sample], axis=1),
+            np.stack([grad for _, grad, _ in per_sample], axis=1),
+            min(margin for _, _, margin in per_sample))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(batched_max_cases())
 def test_batched_neighborhood_max_matches_per_sample_reference(case):
     hv, mask, g = case
-    per_sample = [reference_neighborhood_max(hv[:, s], mask if mask.ndim == 2 else mask[s],
-                                             g[:, s]) for s in range(hv.shape[1])]
-    ref_out = np.stack([out for out, _, _ in per_sample], axis=1)
-    ref_grad = np.stack([grad for _, grad, _ in per_sample], axis=1)
-    ref_margin = min(margin for _, _, margin in per_sample)
+    ref_out, ref_grad, ref_margin = batched_reference(hv, mask, g)
 
     assert ad.neighborhood_max(ad.constant(hv), mask).values.tobytes() \
         == ref_out.tobytes()
@@ -114,6 +120,111 @@ def test_batched_neighborhood_max_matches_per_sample_reference(case):
         assert grad.tobytes() == ref_grad.tobytes()
         if track_kinks:
             assert tape.max_margin == ref_margin
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(batched_max_cases(), st.data())
+def test_column_blocks_match_per_node_reference(case, data):
+    hv, mask, g = case
+    m, b, f = hv.shape
+    # a few cells per block: a mask group's columns (the batch's B*F for a
+    # shared mask, a sample's F otherwise) split into blocks of
+    # max(1, cells // M), often with a short last block
+    columns = b * f if mask.ndim == 2 else f
+    cells = data.draw(st.integers(1, m * columns), label="BLOCK_CELLS")
+    ref_out, ref_grad, ref_margin = batched_reference(hv, mask, g)
+
+    with mock.patch.object(ad, "BLOCK_CELLS", cells):
+        assert ad.neighborhood_max(ad.constant(hv), mask).values.tobytes() \
+            == ref_out.tobytes()
+        for make_input in (ad.constant, ad.parameter):
+            for track_kinks in (False, True):
+                out, grad, tape = taped(make_input, hv, mask, g, track_kinks)
+                assert out.tobytes() == ref_out.tobytes()
+                if make_input is ad.parameter:
+                    assert grad.tobytes() == ref_grad.tobytes()
+                else:
+                    assert grad is None
+                if track_kinks:
+                    assert tape.max_margin == ref_margin
+
+
+def check_gradients(op, arrays, upstream):
+    """Analytic gradients of sum(op(*arrays) * upstream) against central
+    finite differences, one input at a time."""
+    params = [ad.parameter(a) for a in arrays]
+    with ad.GradTape(track_kinks=True) as tape:
+        loss = ad.sum_all(ad.mul(op(*params), ad.constant(upstream)))
+    grads = ad.backward(loss, tape)
+    # no max or ReLU kink within reach of the differences
+    assume(tape.kink_margin() > 1e-3)
+    for k, p in enumerate(params):
+        def f(x):
+            values = [x if j == k else a for j, a in enumerate(arrays)]
+            return float(np.sum(op(*map(ad.constant, values)).values * upstream))
+
+        fd = ad.finite_difference(f, arrays[k].copy())
+        np.testing.assert_allclose(grads[p], fd, rtol=1e-6, atol=1e-7)
+
+
+FD_VALUES = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+def fd_array(shape, unique=False):
+    return hnp.arrays(np.float64, shape, elements=FD_VALUES, unique=unique)
+
+
+@st.composite
+def batch_shapes(draw):
+    return draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data(), batch_shapes(), st.booleans())
+def test_propagate_matches_finite_differences(data, shape, stacked):
+    m, b, f = shape
+    a = data.draw(fd_array((b, m, m) if stacked else (m, m)))
+    h = data.draw(fd_array((m, b, f)))
+    check_gradients(ad.propagate, [a, h], data.draw(fd_array((m, b, f))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data(), batch_shapes(), st.integers(1, 3), st.booleans())
+def test_relu_affine_matches_finite_differences(data, shape, n, bias):
+    m, b, f = shape
+    arrays = [data.draw(fd_array((m, b, f))), data.draw(fd_array((f, n)))]
+    if bias:
+        arrays.append(data.draw(fd_array((n,))))
+    check_gradients(ad.relu_affine, arrays, data.draw(fd_array((m, b, n))))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data(), batch_shapes(), st.sampled_from(["max", "mean"]))
+def test_readout_matches_finite_differences(data, shape, mode):
+    m, b, f = shape
+    # distinct entries: an exact tie between independent inputs is a kink
+    # that the tape's margin does not count
+    check_gradients(lambda h: ad.readout(h, mode), [data.draw(fd_array((m, b, f), True))],
+                    data.draw(fd_array((b, f))))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data(), batch_shapes())
+def test_weighted_readout_matches_finite_differences(data, shape):
+    m, b, f = shape
+    check_gradients(ad.weighted_readout,
+                    [data.draw(fd_array((m, b, f))), data.draw(fd_array((m,)))],
+                    data.draw(fd_array((b, f))))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data(), st.integers(0, 3), st.integers(2, 4))
+def test_cross_entropy_logits_matches_finite_differences(data, b, c):
+    # b == 0 stands for a single (C,) logits vector with one label
+    shape = (b, c) if b else (c,)
+    labels = data.draw(hnp.arrays(np.intp, shape[:-1], elements=st.integers(0, c - 1)))
+    check_gradients(lambda z: ad.cross_entropy_logits(z, labels),
+                    [data.draw(fd_array(shape))], np.array(data.draw(FD_VALUES)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
