@@ -13,11 +13,9 @@ from .data import (GraphDataset, SequenceSample, SynthSpec, cv_split,
 from .model import (LGrinModel, ModelConfig, build_baseline_gcn, build_lgrin,
                     closed_form_parameter_count, forward_shared, load_checkpoint,
                     parameter_count, salient_nodes, save_checkpoint)
-from .objective import (LossWeights, classification_loss, graph_learning_loss,
-                        total_loss)
+from .objective import LossWeights, graph_learning_loss
 from .training import (AdamState, TrainConfig, TrainReport, adam_step, evaluate,
-                       fine_tune_head, grad_check, grad_check_random,
-                       lr_at_epoch, train)
+                       fine_tune_head, grad_check_random, lr_at_epoch, train)
 
 __version__ = "0.1.0"
 
@@ -25,12 +23,11 @@ __all__ = [
     "AdamState", "GradTape", "GraphDataset", "LGrinModel", "LossWeights",
     "ModelConfig", "SequenceSample", "SynthSpec", "Tensor", "TrainConfig",
     "TrainReport", "adam_step", "backward", "build_baseline_gcn",
-    "build_lgrin", "classification_loss", "closed_form_parameter_count",
-    "cv_split", "effective_adjacency", "evaluate", "fine_tune_head",
-    "fixed_adjacency", "forward_shared", "grad_check", "grad_check_random",
-    "graph_learning_loss", "load_checkpoint", "load_dataset", "lr_at_epoch",
-    "neighbor_mask", "pad_or_truncate", "parameter_count",
-    "renormalized_adjacency", "salient_nodes", "save_checkpoint",
-    "save_dataset", "structure_matrix", "synth_generate", "total_loss",
-    "train",
+    "build_lgrin", "closed_form_parameter_count", "cv_split",
+    "effective_adjacency", "evaluate", "fine_tune_head", "fixed_adjacency",
+    "forward_shared", "grad_check_random", "graph_learning_loss",
+    "load_checkpoint", "load_dataset", "lr_at_epoch", "neighbor_mask",
+    "pad_or_truncate", "parameter_count", "renormalized_adjacency",
+    "salient_nodes", "save_checkpoint", "save_dataset", "structure_matrix",
+    "synth_generate", "train",
 ]

@@ -407,13 +407,12 @@ def neighborhood_max(h: Tensor, neighbor_mask: np.ndarray) -> Tensor:
     (M, B*F), and a per-sample mask its own sample's (M, F). The columns of
     a group are walked in blocks of ``BLOCK_CELLS // M`` (at least one);
     each block is made contiguous once, and every node's gather
-    ``block[rows]`` and its max run inside it. Ties go to the lowest node index, signed zeros included: the
-    output copies that entry and the gradient routes to it per cell. The
-    routing index is taken only when a gradient will be routed (``h``
-    requires grad on an active tape) or a kink-tracking tape needs the tie
-    margins. When ``h`` holds no -0.0 or NaN, tied entries have equal bits,
-    so the output is a plain max and the index is the first entry equal to
-    it.
+    ``block[rows]`` and its max run inside it. Ties go to the lowest node
+    index, signed zeros included: the output copies that entry and the
+    gradient routes to it per cell. The routing index is taken only when a
+    gradient will be routed (``h`` requires grad on an active tape). When
+    ``h`` holds no -0.0 or NaN, tied entries have equal bits, so the output
+    is a plain max and the index is the first entry equal to it.
     """
     hv = h.values
     m = hv.shape[0]
@@ -426,7 +425,7 @@ def neighborhood_max(h: Tensor, neighbor_mask: np.ndarray) -> Tensor:
         raise ContractError(f"empty neighborhood for node {empty[0]}")
     tape = active_tape()
     tracking = tape is not None and tape.track_kinks
-    routed = tracking or (tape is not None and h.requires_grad)
+    routed = tape is not None and h.requires_grad
     ties = _unordered_ties(hv)
     out = np.empty(hv.shape)
     # per output cell, the node of the input cell it copies

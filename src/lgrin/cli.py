@@ -273,8 +273,7 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError("gradcheck runs on the lgrin architecture")
     weights = run["train"].loss_weights if "train" in run else None
     errors, margin, attempt = tr.grad_check_random(
-        config, eps=args.eps, seed=args.seed, weights=weights,
-        corrupt=args.corrupt)
+        config, eps=args.eps, seed=args.seed, weights=weights)
     worst = max(errors.values())
     for name in sorted(errors):
         print(f"{name:28s} max_rel_err={errors[name]:.3e}")
@@ -387,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=1e-4)
     p.add_argument("--override", action="append", default=[],
                    metavar="KEY=VALUE")
-    p.add_argument("--corrupt", help=argparse.SUPPRESS)  # negative-control hook
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("inspect", help="export learned structure artifacts")

@@ -16,7 +16,7 @@ from typing import BinaryIO, Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SplitError, check_int_fields
+from .errors import ConfigError, DataError, SplitError, check_int_fields, is_int
 
 
 @dataclass
@@ -101,24 +101,29 @@ def load_dataset(manifest_path: str | Path) -> GraphDataset:
     if not isinstance(doc, dict) or not _MANIFEST_KEYS.issubset(doc):
         missing = _MANIFEST_KEYS - set(doc) if isinstance(doc, dict) else _MANIFEST_KEYS
         raise DataError(f"{manifest_path}: missing manifest keys {sorted(missing)}")
-    try:
-        num_classes, feature_dim, target_length = (
-            int(doc[key]) for key in ("num_classes", "feature_dim", "target_length"))
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{manifest_path}: num_classes, feature_dim and "
-                        f"target_length must be integers ({exc})") from exc
+    for key in ("num_classes", "feature_dim", "target_length"):
+        if not is_int(doc[key]):
+            raise DataError(f"{manifest_path}: num_classes, feature_dim and "
+                            f"target_length must be integers, {key} is {doc[key]!r}")
+    num_classes, feature_dim, target_length = (
+        doc["num_classes"], doc["feature_dim"], doc["target_length"])
     base = manifest_path.parent
     root = base.resolve()
     entries = doc["samples"]
+    if not isinstance(entries, list):
+        raise DataError(f"{manifest_path}: samples must be a list, got {entries!r}")
     if not entries:
         raise DataError(f"{manifest_path}: empty dataset")
     samples = []
     for pos, entry in enumerate(entries):
         try:
-            rel, label, sid = entry["features"], int(entry["label"]), entry["id"]
-        except (KeyError, TypeError, ValueError) as exc:
+            rel, label, sid = entry["features"], entry["label"], entry["id"]
+        except (KeyError, TypeError) as exc:
             raise DataError(f"{manifest_path}: sample #{pos} needs features, an "
                             f"integer label and an id ({exc!r})") from exc
+        if not is_int(label):
+            raise DataError(f"{manifest_path}: sample #{pos} label must be an "
+                            f"integer, got {label!r}")
         path = base / str(rel)
         if not path.resolve().is_relative_to(root):
             raise DataError(f"{manifest_path}: sample #{pos} features {rel!r} "
@@ -166,9 +171,10 @@ def save_dataset(ds: GraphDataset, out_dir: str | Path, force: bool = False) -> 
 
     Numbers are written with 17 significant digits so a reload reproduces
     the float64 values exactly. Each sample's CSV is named after its id, so
-    ids must be distinct plain file names. Every file is written atomically
-    and the manifest last, so a save that fails part way never leaves a
-    new manifest naming a missing or partial CSV.
+    ids must be distinct plain file names. A forced save first removes the
+    old manifest; every file is then written atomically and the manifest
+    last, so a save that fails part way leaves no manifest at all rather
+    than one naming a missing, partial or stale CSV.
     """
     seen: set[str] = set()
     for s in ds.samples:
@@ -183,6 +189,9 @@ def save_dataset(ds: GraphDataset, out_dir: str | Path, force: bool = False) -> 
     if manifest_path.exists() and not force:
         raise ConfigError(f"refusing to overwrite {manifest_path} (use force)")
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a forced save that fails part way must not leave the old manifest
+    # naming a mix of new and old CSVs
+    manifest_path.unlink(missing_ok=True)
     entries = []
     for s in ds.samples:
         rel = f"{s.id}.csv"

@@ -10,8 +10,8 @@ network, and the plain GCN baseline (two renormalized propagation layers
 over the binary chain with a max|mean readout). This is the only module
 that tells them apart: ``BUILDERS`` maps each architecture name to its
 constructor, ``forward_shared`` is the one forward pass for both (one
-graph per minibatch), and ``graph_loss`` says which graph-learning terms a
-model trains.
+graph per minibatch), and ``loss`` is the one training objective, with the
+graph-learning terms each model trains.
 """
 
 from __future__ import annotations
@@ -217,20 +217,24 @@ def forward_chunks(model: LGrinModel, samples: list[SequenceSample]):
         yield forward_shared(model, samples[start:start + FORWARD_CHUNK])[1:]
 
 
-def graph_loss(model: LGrinModel, a_eff: Tensor | None,
-               weights: LossWeights) -> Tensor | None:
-    """The graph-learning term this model trains, or None if it has none.
+def loss(model: LGrinModel, samples: list[SequenceSample],
+         weights: LossWeights) -> tuple[Tensor, Tensor]:
+    """The training objective for a minibatch: (total loss, (B, C) logits).
 
-    The baseline learns no structure. An lgrin model drops the adjacency
-    terms when its adjacency is per-sample (weighted) and the pooling term
-    when its pooling is fixed; a fixed binary chain keeps its adjacency
-    terms, which add a constant to the loss.
+    Summed cross entropy over the samples' own labels, plus the
+    graph-learning term the model trains, recorded on the active tape. The
+    baseline learns no structure. An lgrin model drops the adjacency terms
+    when its adjacency is per-sample (weighted) and the pooling term when
+    its pooling is fixed; a fixed binary chain keeps its adjacency terms,
+    which add a constant to the loss.
     """
+    a_eff, logits, _ = forward_shared(model, samples)
+    total = ad.cross_entropy_logits(logits, [s.label for s in samples])
     p = model.registry.get("pooling.p")
-    if model.arch == "baseline_gcn" or (a_eff is None and p is None):
-        return None
-    return graph_learning_loss(a_eff, adjmod.structure_matrix(model.config.m),
-                               p, weights)
+    if model.arch == "lgrin" and (a_eff is not None or p is not None):
+        total = ad.add(total, graph_learning_loss(
+            a_eff, adjmod.structure_matrix(model.config.m), p, weights))
+    return total, logits
 
 
 def argmax_plurality(h: np.ndarray) -> int:
@@ -320,7 +324,7 @@ def load_checkpoint(path: str | Path) -> LGrinModel:
             raise ConfigError(f"{path}: not a model checkpoint")
         try:
             meta = json.loads(str(zf["meta"]))
-        except json.JSONDecodeError as exc:
+        except (OSError, ValueError, zipfile.BadZipFile) as exc:  # bad JSON is a ValueError
             raise ConfigError(f"{path}: checkpoint meta is not JSON ({exc})") from exc
         if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
             raise ConfigError(f"{path}: unknown checkpoint format")
@@ -339,9 +343,18 @@ def load_checkpoint(path: str | Path) -> LGrinModel:
             key = f"param/{name}"
             if key not in zf:
                 raise ConfigError(f"{path}: missing parameter {name!r}")
-            stored = zf[key]
+            try:  # an object array raises ValueError without pickle
+                stored = zf[key]
+            except (OSError, ValueError, zipfile.BadZipFile) as exc:
+                raise ConfigError(f"{path}: parameter {name!r} cannot be "
+                                  f"read ({exc})") from exc
+            if stored.dtype.kind != "f":
+                raise ConfigError(f"{path}: parameter {name!r} has dtype "
+                                  f"{stored.dtype}, not a real float")
             if stored.shape != tensor.values.shape:
-                raise ContractError(f"{path}: parameter {name!r} shape "
-                                    f"{stored.shape} != {tensor.values.shape}")
+                raise ConfigError(f"{path}: parameter {name!r} shape "
+                                  f"{stored.shape} != {tensor.values.shape}")
+            if not np.all(np.isfinite(stored)):
+                raise ConfigError(f"{path}: parameter {name!r} has non-finite values")
             tensor.values[...] = stored
     return model

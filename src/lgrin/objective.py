@@ -1,23 +1,22 @@
-"""Joint training objective: classification loss plus graph learning loss.
+"""The graph learning loss and its weights.
 
-The classification term is a plain sum of per-sample cross entropies. The
-graph learning term regularizes the learned structure: a temporal-locality
-penalty that charges each edge by the squared index distance of its
-endpoints, a Frobenius penalty shrinking overall edge mass, and an L2
-penalty on the pooling weights.
+The joint training objective (``model.loss``) adds this term to the summed
+cross entropy of a minibatch. It regularizes the learned structure: a
+temporal-locality penalty that charges each edge by the squared index
+distance of its endpoints, a Frobenius penalty shrinking overall edge mass,
+and an L2 penalty on the pooling weights.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -29,14 +28,6 @@ class LossWeights:
     def __post_init__(self):
         if min(self.lambda1, self.lambda2, self.lambda3) < 0:
             raise ConfigError("loss weights must be non-negative")
-
-
-def classification_loss(logits: Tensor, labels: Sequence[int]) -> Tensor:
-    """Sum (not mean) of cross-entropy terms over a (B, C) batch of logits."""
-    if logits.values.ndim != 2 or logits.shape[0] != len(labels):
-        raise ContractError(f"logits of shape {logits.shape} for "
-                            f"{len(labels)} labels")
-    return ad.cross_entropy_logits(logits, labels)
 
 
 def graph_learning_loss(a_eff: Tensor | None, a_d: np.ndarray,
@@ -59,7 +50,3 @@ def graph_learning_loss(a_eff: Tensor | None, a_d: np.ndarray,
         sums.append((ad.sum_all(ad.mul(p, p)), w.lambda3))
     return functools.reduce(ad.add, [ad.scale(total, lam) for total, lam in sums])
 
-
-def total_loss(cls: Tensor, gl: Tensor) -> Tensor:
-    """Joint objective; gradients flow to network weights, A, and p."""
-    return ad.add(cls, gl)

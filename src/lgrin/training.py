@@ -21,9 +21,10 @@ from . import model as mm
 from .autodiff import GradTape, Tensor
 from .data import GraphDataset, SequenceSample, pad_or_truncate
 from .errors import ConfigError, ContractError, NumericalError, check_int_fields
-from .objective import LossWeights, classification_loss, total_loss
+from .objective import LossWeights
 
 KINK_MARGIN = 1e-3
+GRAD_CHECK_TRIES = 50  # random points tried before a gradient check gives up
 
 
 @dataclass(frozen=True)
@@ -124,16 +125,6 @@ def registry_grads(registry: dict[str, Tensor],
             for name, t in registry.items()}
 
 
-def _batch_objective(model: mm.LGrinModel, samples: list[SequenceSample],
-                     labels: list[int],
-                     weights: LossWeights) -> tuple[Tensor, Tensor]:
-    """Total loss for one minibatch on the active tape, plus its (B, C) logits."""
-    a_eff, logits, _ = mm.forward_shared(model, samples)
-    loss = classification_loss(logits, labels)
-    gl = mm.graph_loss(model, a_eff, weights)
-    return (loss if gl is None else total_loss(loss, gl)), logits
-
-
 def _check_compat(model: mm.LGrinModel, dataset: GraphDataset) -> None:
     if dataset.target_length != model.config.m:
         raise ConfigError(f"dataset target_length {dataset.target_length} "
@@ -156,7 +147,7 @@ def train(model: mm.LGrinModel, dataset: GraphDataset, cfg: TrainConfig,
     _check_compat(model, dataset)
     started = time.perf_counter()
     padded = [pad_or_truncate(s, model.config.m) for s in dataset.samples]
-    labels = [s.label for s in padded]
+    labels = dataset.labels()
     n = len(padded)
     if trainable is None:
         trainable = set(model.registry)
@@ -177,13 +168,11 @@ def train(model: mm.LGrinModel, dataset: GraphDataset, cfg: TrainConfig,
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
             batch = [padded[i] for i in idx]
-            batch_labels = [labels[i] for i in idx]
             # a diverging step overflows in numpy; the checks below and at
             # the end of the epoch report it as one NumericalError instead
             with np.errstate(all="ignore"):
                 with GradTape() as tape:
-                    total, logits = _batch_objective(model, batch, batch_labels,
-                                                     cfg.loss_weights)
+                    total, logits = mm.loss(model, batch, cfg.loss_weights)
                 step_loss = total.item()
                 if not math.isfinite(step_loss):
                     raise NumericalError(f"loss became non-finite ({step_loss}) at "
@@ -191,7 +180,7 @@ def train(model: mm.LGrinModel, dataset: GraphDataset, cfg: TrainConfig,
                 grads = registry_grads(sub_registry, ad.backward(total, tape))
                 adam_step(sub_registry, grads, state, lr, cfg)
             epoch_loss += step_loss
-            correct += int(np.count_nonzero(logits.values.argmax(axis=1) == batch_labels))
+            correct += int(np.count_nonzero(logits.values.argmax(axis=1) == labels[idx]))
         for name, tensor in model.registry.items():
             if not np.all(np.isfinite(tensor.values)):
                 raise NumericalError(f"parameter {name!r} became non-finite "
@@ -239,67 +228,46 @@ def evaluate(model: mm.LGrinModel, samples: list[SequenceSample]) -> dict:
 # gradient checking
 # ---------------------------------------------------------------------------
 
-def _loss_value(model: mm.LGrinModel, sample: SequenceSample,
-                weights: LossWeights) -> float:
-    """Forward-only objective value for the current parameter values."""
-    return _batch_objective(model, [sample], [sample.label], weights)[0].item()
-
-
-def grad_check(model: mm.LGrinModel, sample: SequenceSample, eps: float = 1e-5,
-               weights: LossWeights | None = None,
-               corrupt: str | None = None) -> tuple[dict[str, float], float]:
-    """Max guarded relative error per parameter group, plus the kink margin.
-
-    Backward gradients of the total loss are compared against central
-    finite differences for every registry entry. The error denominator is
-    floored at 1e-3 so that near-zero gradients are measured absolutely
-    (finite differences resolve them to ~1e-9 at best). The second return
-    value is the smallest ReLU/max margin seen on the forward pass; the
-    comparison is only meaningful when it exceeds the perturbation scale.
-    ``corrupt`` names a group whose analytic gradient is deliberately
-    offset, as a negative control for the surrounding harness.
-    """
-    weights = weights if weights is not None else LossWeights()
-    with GradTape(track_kinks=True) as tape:
-        total, _ = _batch_objective(model, [sample], [sample.label], weights)
-    grads = registry_grads(model.registry, ad.backward(total, tape))
-    margin = tape.kink_margin()
-
-    errors: dict[str, float] = {}
-    for name, tensor in model.registry.items():
-        analytic = grads[name]
-        if corrupt == name:
-            analytic = analytic + 1e-2
-        fd = ad.finite_difference(
-            lambda _: _loss_value(model, sample, weights), tensor.values, eps)
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-3)
-        errors[name] = float(np.max(np.abs(analytic - fd) / denom))
-    return errors, margin
-
-
 def grad_check_random(config: mm.ModelConfig, eps: float = 1e-5, seed: int = 0,
-                      weights: LossWeights | None = None,
-                      corrupt: str | None = None,
-                      max_tries: int = 50) -> tuple[dict[str, float], float, int]:
-    """Gradient check at a random kink-free point.
+                      weights: LossWeights | None = None
+                      ) -> tuple[dict[str, float], float, int]:
+    """Gradient check of the training objective at a random kink-free point.
 
     Draws sample features uniform in [-2, 2] and rebuilds the model with a
     shifted seed until the forward pass stays at least KINK_MARGIN away
-    from every ReLU/max kink, then checks there. Returns (per-group
-    errors, margin, attempt index); deterministic per starting seed.
+    from every ReLU/max kink. At that point only, backward gradients of
+    the total loss are compared against central finite differences for
+    every registry entry. The error denominator is floored at 1e-3 so that
+    near-zero gradients are measured absolutely (finite differences
+    resolve them to ~1e-9 at best). Returns (max guarded relative error
+    per parameter group, kink margin, attempt index); deterministic per
+    starting seed.
     """
-    for attempt in range(max_tries):
+    weights = weights if weights is not None else LossWeights()
+    for attempt in range(GRAD_CHECK_TRIES):
         s = seed + attempt
         model = mm.build_lgrin(dataclasses.replace(config, seed=s))
         rng = np.random.default_rng(s + 10_000)
         features = rng.uniform(-2.0, 2.0, size=(config.m, config.p))
         label = int(rng.integers(config.c))
         sample = SequenceSample(features, label, f"gradcheck-{s}")
-        errors, margin = grad_check(model, sample, eps=eps, weights=weights,
-                                    corrupt=corrupt)
+        with GradTape(track_kinks=True) as tape:
+            total, _ = mm.loss(model, [sample], weights)
+        margin = tape.kink_margin()
         if margin >= KINK_MARGIN:
-            return errors, margin, attempt
-    raise NumericalError(f"no kink-free point found in {max_tries} tries")
+            break
+    else:
+        raise NumericalError(f"no kink-free point found in {GRAD_CHECK_TRIES} tries")
+
+    grads = registry_grads(model.registry, ad.backward(total, tape))
+    errors: dict[str, float] = {}
+    for name, tensor in model.registry.items():
+        analytic = grads[name]
+        fd = ad.finite_difference(
+            lambda _: mm.loss(model, [sample], weights)[0].item(), tensor.values, eps)
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-3)
+        errors[name] = float(np.max(np.abs(analytic - fd) / denom))
+    return errors, margin, attempt
 
 
 def fine_tune_head(model: mm.LGrinModel, target: GraphDataset,

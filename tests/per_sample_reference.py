@@ -19,6 +19,7 @@ from lgrin import adjacency as adjmod
 from lgrin import autodiff as ad
 from lgrin import layers as L
 from lgrin import model as mm
+from lgrin.objective import graph_learning_loss
 
 
 def vecmat(v, m):
@@ -132,5 +133,10 @@ def objective(model, samples, weights):
     loss = cross_entropy(logits[0], samples[0].label)
     for lg, s in zip(logits[1:], samples[1:]):
         loss = ad.add(loss, cross_entropy(lg, s.label))
-    gl = mm.graph_loss(model, a_eff, weights)
-    return (loss if gl is None else ad.add(loss, gl)), logits
+    # the graph term of the batched objective: none for the baseline, and
+    # only the terms of a shared adjacency and of a learnable pooling vector
+    p = model.registry.get("pooling.p")
+    if model.arch == "lgrin" and (a_eff is not None or p is not None):
+        loss = ad.add(loss, graph_learning_loss(
+            a_eff, adjmod.structure_matrix(model.config.m), p, weights))
+    return loss, logits

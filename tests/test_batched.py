@@ -42,11 +42,9 @@ def test_logits_and_gradients_match_per_sample_reference(arch, adjacency_mode,
                             pooling_mode=pooling_mode, seed=3)
     model = mm.BUILDERS[arch](config)
     batch = samples(config, 5)
-    labels = [s.label for s in batch]
     weights = LossWeights()
 
-    logits, grads = registry_gradients(
-        model, lambda: tr._batch_objective(model, batch, labels, weights))
+    logits, grads = registry_gradients(model, lambda: mm.loss(model, batch, weights))
     want_logits, want_grads = registry_gradients(
         model, lambda: ref.objective(model, batch, weights))
 
@@ -80,6 +78,22 @@ def test_grad_check_point_and_margin_unchanged(config, seed, attempt, margin):
     assert max(errors.values()) < 1e-6
 
 
+def test_finite_differences_only_at_the_accepted_point(monkeypatch):
+    # the pooling_mode="max" point is accepted at attempt 11: the eleven
+    # points before it are rejected on their kink margin alone
+    config, seed, attempt, _ = GRAD_CHECK_POINTS[2]
+    real, calls = ad.finite_difference, []
+
+    def finite_difference(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "finite_difference", finite_difference)
+    _, _, got_attempt = tr.grad_check_random(mm.ModelConfig(**config), seed=seed)
+    assert got_attempt == attempt == 11
+    assert len(calls) == len(mm.build_lgrin(mm.ModelConfig(**config)).registry)
+
+
 def test_one_tape_per_minibatch():
     config = mm.ModelConfig(m=24, p=8, c=4, inception_layers=2,
                             etas=[(16, 8), (16, 8)])
@@ -88,7 +102,7 @@ def test_one_tape_per_minibatch():
         model = mm.build_lgrin(config)
         batch = samples(config, n)
         with ad.GradTape() as tape:
-            tr._batch_objective(model, batch, [s.label for s in batch], LossWeights())
+            mm.loss(model, batch, LossWeights())
         counts.append(len(tape.nodes))
     assert counts[0] == counts[1] < 60
 

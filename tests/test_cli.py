@@ -236,10 +236,10 @@ class TestGradcheck:
                 m=6, p=5, c=3, inception_layers=1, etas=[(8, 4)])).registry:
             assert name in out
 
-    def test_corrupted_gradient_fails_exit_3(self, tmp_path, capsys):
+    def test_corrupted_gradient_fails_exit_3(self, tmp_path, capsys, corrupt_gradient):
+        corrupt_gradient("pooling.p")
         path = self.write_config(tmp_path)
-        assert run("gradcheck", "--config", str(path),
-                   "--corrupt", "pooling.p") == 3
+        assert run("gradcheck", "--config", str(path)) == 3
         assert "FAIL" in capsys.readouterr().out
 
 
@@ -406,12 +406,30 @@ class TestBadInputs:
          "checkpoint meta is not JSON"),
         (lambda path, arrays: path.write_text("not a zip archive\n"),
          "not a model checkpoint"),
-    ], ids=["meta-not-json", "not-npz"])
+        (lambda path, arrays: np.savez(path, **{**arrays, "meta": np.array([None])}),
+         "checkpoint meta is not JSON"),
+    ], ids=["meta-not-json", "not-npz", "meta-object"])
     def test_checkpoint_file(self, trained, dataset_dir, tmp_path, capsys,
                              write, expected):
         ckpt, _ = trained
         bad = tmp_path / "bad.npz"
         write(bad, checkpoint_arrays(ckpt))
+        assert run("eval", "--checkpoint", str(bad),
+                   "--data", str(dataset_dir / "manifest.json")) == 1
+        one_line_error(capsys, expected)
+
+    @pytest.mark.parametrize("stored, expected", [
+        (np.array(["0", "1", "x"]), "parameter 'head.b' has dtype <U1, not a real float"),
+        (np.array([0.0, None, 1.0], dtype=object), "parameter 'head.b' cannot be read"),
+        (np.zeros(3, dtype=complex), "parameter 'head.b' has dtype complex128"),
+        (np.array([0.0, np.nan, 1.0]), "parameter 'head.b' has non-finite values"),
+        (np.zeros(4), "parameter 'head.b' shape (4,) != (3,)"),
+    ], ids=["string", "object", "complex", "nan", "wrong-shape"])
+    def test_checkpoint_parameter(self, trained, dataset_dir, tmp_path, capsys,
+                                  stored, expected):
+        ckpt, _ = trained
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **{**checkpoint_arrays(ckpt), "param/head.b": stored})
         assert run("eval", "--checkpoint", str(bad),
                    "--data", str(dataset_dir / "manifest.json")) == 1
         one_line_error(capsys, expected)
@@ -508,6 +526,12 @@ def bad_inputs(tmp_path_factory):
             {**manifest, "samples": [{"features": features, "label": 0, "id": "a"}]}))
         if csv is not None:
             (root / name / "a.csv").write_text(csv)
+    first = manifest["samples"][0]
+    for name, edit in [("samples5", {"samples": 5}),
+                       ("label17", {"samples": [{**first, "label": 1.7}]}),
+                       ("classes29", {"num_classes": 2.9}),
+                       ("length_string", {"target_length": "8"})]:
+        (root / "ds" / f"{name}.json").write_text(json.dumps({**manifest, **edit}))
     (root / "broken").mkdir()
     (root / "broken" / "manifest.json").write_text("{")
     return root
@@ -532,6 +556,14 @@ ERROR_TABLE = [
      "--data {r}/broken/manifest.json", 2, "invalid JSON"),
     ("manifest-escapes", "eval --checkpoint {r}/run/checkpoint.npz "
      "--data {r}/escape/manifest.json", 2, "outside the dataset directory"),
+    ("manifest-samples-not-list", "eval --checkpoint {r}/run/checkpoint.npz "
+     "--data {r}/ds/samples5.json", 2, "samples must be a list, got 5"),
+    ("manifest-fractional-label", "eval --checkpoint {r}/run/checkpoint.npz "
+     "--data {r}/ds/label17.json", 2, "sample #0 label must be an integer, got 1.7"),
+    ("manifest-fractional-classes", "eval --checkpoint {r}/run/checkpoint.npz "
+     "--data {r}/ds/classes29.json", 2, "must be integers, num_classes is 2.9"),
+    ("manifest-length-string", "eval --checkpoint {r}/run/checkpoint.npz "
+     "--data {r}/ds/length_string.json", 2, "must be integers, target_length is '8'"),
     ("csv-non-numeric", "eval --checkpoint {r}/run/checkpoint.npz "
      "--data {r}/cell/manifest.json", 2, "non-numeric cell"),
     ("csv-width", "eval --checkpoint {r}/run/checkpoint.npz --data {r}/width/manifest.json",

@@ -149,6 +149,29 @@ class TestLoadDataset:
         again = dd.load_dataset(dd.save_dataset(ds, out))
         assert [s.id for s in again.samples] == [s.id for s in ds.samples]
 
+    def test_failed_forced_save_leaves_no_manifest(self, tmp_path, monkeypatch):
+        def dataset(value):
+            return dd.GraphDataset(
+                samples=[dd.SequenceSample(np.full((2, 2), value), 0, sid)
+                         for sid in "abc"],
+                num_classes=2, feature_dim=2, target_length=2, name="abc")
+
+        manifest = dd.save_dataset(dataset(1.0), tmp_path / "out")
+        real_fsync, syncs = os.fsync, []
+
+        def fsync(fd):
+            syncs.append(fd)
+            if len(syncs) == 2:  # the second CSV
+                raise OSError(28, "No space left on device")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError, match="b.csv"):
+            dd.save_dataset(dataset(2.0), tmp_path / "out", force=True)
+        # a.csv is new and b.csv, c.csv old, but no manifest names that mix
+        with pytest.raises(DataError, match="manifest not found"):
+            dd.load_dataset(manifest)
+
     @staticmethod
     def two_samples(id_a, id_b):
         return dd.GraphDataset(

@@ -8,9 +8,8 @@ import pytest
 
 from lgrin import autodiff as ad
 from lgrin.adjacency import effective_adjacency, structure_matrix
-from lgrin.errors import ConfigError, ContractError, ShapeError
-from lgrin.objective import (LossWeights, classification_loss,
-                             graph_learning_loss, total_loss)
+from lgrin.errors import ConfigError, ShapeError
+from lgrin.objective import LossWeights, graph_learning_loss
 
 
 def brute_force_gl(a, a_d, p, w):
@@ -38,22 +37,22 @@ class TestLossWeights:
 
 class TestClassificationLoss:
     def test_single_uniform(self):
-        loss = classification_loss(ad.constant(np.zeros((1, 4))), [0])
+        loss = ad.cross_entropy_logits(ad.constant(np.zeros((1, 4))), [0])
         assert abs(loss.item() - math.log(4.0)) < 1e-12
 
     def test_sum_linearity(self):
         row = [1.0, -0.5, 2.0]
-        one = classification_loss(ad.constant([row]), [2]).item()
-        two = classification_loss(ad.constant([row, row]), [2, 2]).item()
+        one = ad.cross_entropy_logits(ad.constant([row]), [2]).item()
+        two = ad.cross_entropy_logits(ad.constant([row, row]), [2, 2]).item()
         assert abs(two - 2.0 * one) < 1e-12
 
     def test_saturated_batch(self):
         batch = ad.constant([[50.0, 0.0], [0.0, 50.0]])
-        assert classification_loss(batch, [0, 1]).item() < 1e-6
+        assert ad.cross_entropy_logits(batch, [0, 1]).item() < 1e-6
 
     def test_length_mismatch(self):
-        with pytest.raises(ContractError):
-            classification_loss(ad.constant(np.zeros((1, 2))), [0, 1])
+        with pytest.raises(ShapeError):
+            ad.cross_entropy_logits(ad.constant(np.zeros((1, 2))), [0, 1])
 
 
 class TestGraphLearningLoss:
@@ -119,18 +118,6 @@ class TestGraphLearningLoss:
 
 
 class TestTotalLoss:
-    def test_zero_gl_is_identity(self):
-        cls = ad.constant(np.asarray(1.5))
-        gl = ad.constant(np.asarray(0.0))
-        assert total_loss(cls, gl).item() == 1.5
-
-    def test_bounded_below_by_parts(self):
-        cls = ad.constant(np.asarray(0.7))
-        gl = ad.constant(np.asarray(0.3))
-        total = total_loss(cls, gl).item()
-        assert total >= max(0.7, 0.3)
-        assert abs(total - 1.0) < 1e-15
-
     def test_pooling_term_gradient_closed_form(self):
         # the lambda3 ||p||^2 term alone: analytic gradient is exactly
         # 2 * lambda3 * p, and central differences agree very tightly

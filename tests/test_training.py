@@ -12,7 +12,7 @@ from lgrin import data as dd
 from lgrin import model as mm
 from lgrin import training as tr
 from lgrin.errors import ConfigError, ContractError, NumericalError, config_from_json
-from lgrin.objective import LossWeights, classification_loss, total_loss
+from lgrin.objective import LossWeights
 
 
 def small_config(**overrides):
@@ -228,10 +228,11 @@ class TestGradCheck:
         assert set(errors) == set(mm.build_lgrin(cfg).registry)
         assert max(errors.values()) < 1e-4
 
-    def test_corrupted_gradient_detected(self):
+    def test_corrupted_gradient_detected(self, corrupt_gradient):
+        corrupt_gradient("head.w")
         cfg = mm.ModelConfig(m=6, p=5, c=3, inception_layers=1, etas=[(8, 4)],
                              seed=1)
-        errors, _, _ = tr.grad_check_random(cfg, seed=0, corrupt="head.w")
+        errors, _, _ = tr.grad_check_random(cfg, seed=0)
         assert errors["head.w"] > 1e-4
 
     def test_deterministic_per_seed(self):
@@ -310,9 +311,7 @@ class TestTapeLifetime:
         gc.disable()
         try:
             with ad.GradTape() as tape:
-                a_eff, logits, _ = mm.forward_shared(model, samples)
-                loss = total_loss(classification_loss(logits, [s.label for s in samples]),
-                                  mm.graph_loss(model, a_eff, LossWeights()))
+                loss, _ = mm.loss(model, samples, LossWeights())
             grads = ad.backward(loss, tape)
             freed = weakref.ref(tape)
             del tape
