@@ -382,14 +382,6 @@ def _track_max_margin(mat: np.ndarray) -> None:
         tracker.max_margin = min(tracker.max_margin, _distinct_top_gap(mat))
 
 
-def _unordered_ties(values: np.ndarray) -> bool:
-    """True if equal entries may differ in their bits (-0.0 vs 0.0, NaNs).
-
-    Only then does the choice among tied entries show in a max's output.
-    """
-    return bool(np.isnan(values).any() or (np.signbit(values) & (values == 0.0)).any())
-
-
 # Columns per block of a mask group's (M, n) view: a block holds about
 # BLOCK_CELLS float64 cells (512 KB), so each node's gather reads a block
 # that stays in a 2 MB per-core L2 cache.
@@ -407,12 +399,12 @@ def neighborhood_max(h: Tensor, neighbor_mask: np.ndarray) -> Tensor:
     (M, B*F), and a per-sample mask its own sample's (M, F). The columns of
     a group are walked in blocks of ``BLOCK_CELLS // M`` (at least one);
     each block is made contiguous once, and every node's gather
-    ``block[rows]`` and its max run inside it. Ties go to the lowest node
-    index, signed zeros included: the output copies that entry and the
-    gradient routes to it per cell. The routing index is taken only when a
-    gradient will be routed (``h`` requires grad on an active tape). When
-    ``h`` holds no -0.0 or NaN, tied entries have equal bits, so the output
-    is a plain max and the index is the first entry equal to it.
+    ``block[rows]`` and its max run inside it. ``h`` must hold no -0.0 or
+    NaN (the model's features are finite with -0.0 read as 0.0, and every
+    later input is rectified or copies them), so tied entries have equal
+    bits and the output is a plain max. The gradient routes per cell to the
+    lowest neighbor equal to the max, found only when a gradient will be
+    routed (``h`` requires grad on an active tape).
     """
     hv = h.values
     m = hv.shape[0]
@@ -426,7 +418,6 @@ def neighborhood_max(h: Tensor, neighbor_mask: np.ndarray) -> Tensor:
     tape = active_tape()
     tracking = tape is not None and tape.track_kinks
     routed = tape is not None and h.requires_grad
-    ties = _unordered_ties(hv)
     out = np.empty(hv.shape)
     # per output cell, the node of the input cell it copies
     source = np.empty(hv.shape, dtype=np.int32) if routed else None
@@ -451,16 +442,10 @@ def neighborhood_max(h: Tensor, neighbor_mask: np.ndarray) -> Tensor:
             for i in range(m):
                 rows, rank = neighbors[g * m + i]
                 sub = block[rows]
-                if ties:
-                    k = sub.argmax(axis=0)
-                    out3[i, g, cols] = np.take_along_axis(sub, k[None], axis=0)[0]
-                    if routed:
-                        source3[i, g, cols] = rows[k]
-                else:
-                    out3[i, g, cols] = top = sub.max(axis=0)
-                    if routed:
-                        # the lowest neighbor equal to the max has the largest rank
-                        source3[i, g, cols] = m - ((sub == top) * rank).max(axis=0)
+                out3[i, g, cols] = top = sub.max(axis=0)
+                if routed:
+                    # the lowest neighbor equal to the max has the largest rank
+                    source3[i, g, cols] = m - ((sub == top) * rank).max(axis=0)
                 if tracking:
                     _track_max_margin(sub)
     if not routed:

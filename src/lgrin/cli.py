@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,10 +20,10 @@ import numpy as np
 from . import model as mm
 from . import training as tr
 from .data import (GraphDataset, SynthSpec, atomic_write_text, cv_split,
-                   load_dataset, pad_or_truncate, save_dataset, synth_generate)
+                   load_dataset, save_dataset, synth_generate)
 from .errors import (ConfigError, ContractError, DataError, LgrinError,
                      NumericalError, SplitError, check_keys, config_from_json,
-                     is_int)
+                     is_finite_number, is_int)
 from .objective import LossWeights
 
 EXIT_OK = 0
@@ -138,10 +139,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _padded(ds: GraphDataset, m: int):
-    return [pad_or_truncate(s, m) for s in ds.samples]
-
-
 def cmd_train(args) -> int:
     doc, run = load_run_config(args.config, args.override)
     config, arch = run["model"]
@@ -161,22 +158,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _samples_for(model: mm.LGrinModel, manifest: str) -> list:
-    """The dataset at ``manifest``, padded, if its shape and classes fit the model."""
-    ds = load_dataset(manifest)
-    cfg = model.config
-    if (ds.target_length, ds.feature_dim) != (cfg.m, cfg.p):
-        raise DataError(f"dataset ({ds.target_length}, {ds.feature_dim}) does "
-                        f"not match model ({cfg.m}, {cfg.p})")
-    if ds.num_classes > cfg.c:
-        raise DataError(f"dataset has {ds.num_classes} classes, "
-                        f"model head only {cfg.c}")
-    return _padded(ds, cfg.m)
-
-
 def cmd_eval(args) -> int:
     model = mm.load_checkpoint(args.checkpoint)
-    samples = _samples_for(model, args.data)
+    samples = mm.samples_for(model, load_dataset(args.data))
     metrics = tr.evaluate(model, samples)
     metrics["n_samples"] = len(samples)
     text = json.dumps(metrics, indent=2)
@@ -195,7 +179,7 @@ _GRID_ENTRY_RULES = {
              "must hold 2 integers"),
     "layers": (is_int, "must be an integer"),
     "lambdas": (lambda v: isinstance(v, list) and len(v) == 3
-                and all(isinstance(x, (int, float)) for x in v), "must hold 3 numbers"),
+                and all(map(is_finite_number, v)), "must hold 3 numbers"),
 }
 
 
@@ -235,10 +219,8 @@ def cmd_ablate(args) -> int:
     train_idx, test_idx = cv_split(ds, args.holdout_folds, base_train.seed)[0]
     train_ds = GraphDataset([ds.samples[i] for i in train_idx], ds.num_classes,
                             ds.feature_dim, ds.target_length, ds.name + "-train")
-    test_samples = _padded(
-        GraphDataset([ds.samples[i] for i in test_idx], ds.num_classes,
-                     ds.feature_dim, ds.target_length, ds.name + "-test"),
-        base.m)
+    test_ds = GraphDataset([ds.samples[i] for i in test_idx], ds.num_classes,
+                           ds.feature_dim, ds.target_length, ds.name + "-test")
 
     # every cell's configs are built, and so checked, before any cell trains;
     # a depth sweep without a filter sweep repeats the base's first pair
@@ -252,7 +234,7 @@ def cmd_ablate(args) -> int:
     rows = []
     for config, cfg, etas, lam in cells:
         model, _ = tr.train(mm.BUILDERS[arch](config), train_ds, cfg)
-        acc = tr.evaluate(model, test_samples)["unweighted_accuracy"]
+        acc = tr.evaluate(model, mm.samples_for(model, test_ds))["unweighted_accuracy"]
         # one value per _ABLATE_COLUMNS entry, in that order
         rows.append((config.adjacency_mode, config.pooling_mode,
                      "default" if etas is None else f"{etas[0]}x{etas[1]}",
@@ -267,6 +249,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, value in (("--eps", args.eps), ("--threshold", args.threshold)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{flag} must be a positive finite number, got {value}")
     _, run = load_run_config(args.config, args.override)
     config, arch = run["model"]
     if arch != "lgrin":
@@ -318,7 +303,7 @@ def cmd_inspect(args) -> int:
     # salient node per sample
     if not args.data:
         raise ConfigError("--what salient requires --data")
-    samples = _samples_for(model, args.data)
+    samples = mm.samples_for(model, load_dataset(args.data))
     nodes = mm.salient_nodes(model, samples)
     text = "id,salient_node\n" + "".join(f"{s.id},{k}\n" for s, k in zip(samples, nodes))
     print(f"wrote {atomic_write_text(prefix.with_name(prefix.name + '_salient.csv'), text)}")

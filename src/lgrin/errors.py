@@ -1,9 +1,11 @@
 """Exception types shared across the package, plus the checks behind every
-config: the integer check that config dataclasses run before their own
-validation, and the one function that makes a config dataclass from
-parsed JSON."""
+config: the integer and finite-number check that config dataclasses run
+before their own validation, and the one function that makes a config
+dataclass from parsed JSON."""
 
 import dataclasses
+import math
+import sys
 import typing
 
 
@@ -40,13 +42,23 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_finite_number(value) -> bool:
+    """A float-range int or a finite float, not a bool (JSON reads ``NaN``,
+    ``Infinity`` and ``true``)."""
+    return (is_int(value) and abs(value) <= sys.float_info.max
+            or isinstance(value, float) and math.isfinite(value))
+
+
 def check_int_fields(config) -> None:
     """Raise ConfigError for any ``int``-annotated dataclass field holding a
-    non-integer, so 1.5 epochs fails here rather than deep in numpy."""
+    non-integer, so 1.5 epochs fails here rather than deep in numpy, and for
+    any ``float``-annotated field that is not ``is_finite_number``."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if f.type in ("int", int) and not is_int(value):
             raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if f.type in ("float", float) and not is_finite_number(value):
+            raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
 
 
 def check_keys(doc, allowed, where: str) -> None:
@@ -63,8 +75,8 @@ def config_from_json(cls, doc, where: str):
 
     The dataclass's own fields are the schema: other keys are rejected, and
     a field typed as a config dataclass is built from its sub-object the
-    same way. A TypeError or ValueError from the constructor or its
-    ``__post_init__`` becomes one ConfigError naming ``where``.
+    same way. A ConfigError, TypeError or ValueError from the constructor
+    or its ``__post_init__`` becomes one ConfigError naming ``where``.
     """
     check_keys(doc, [f.name for f in dataclasses.fields(cls)], where)
     hints = typing.get_type_hints(cls)
@@ -73,5 +85,5 @@ def config_from_json(cls, doc, where: str):
               for key, value in doc.items()}
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from exc

@@ -11,7 +11,8 @@ over the binary chain with a max|mean readout). This is the only module
 that tells them apart: ``BUILDERS`` maps each architecture name to its
 constructor, ``forward_shared`` is the one forward pass for both (one
 graph per minibatch), and ``loss`` is the one training objective, with the
-graph-learning terms each model trains.
+graph-learning terms each model trains. ``samples_for`` is the one check
+that a dataset fits a model.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from . import adjacency as adjmod
 from . import autodiff as ad
 from . import layers as L
 from .autodiff import Tensor
-from .data import SequenceSample, atomic_write
-from .errors import (ConfigError, ContractError, ShapeError, check_int_fields,
-                     config_from_json, is_int)
+from .data import GraphDataset, SequenceSample, atomic_write, pad_or_truncate
+from .errors import (ConfigError, ContractError, DataError, ShapeError,
+                     check_int_fields, config_from_json, is_int)
 from .objective import LossWeights, graph_learning_loss
 
 ADJACENCY_MODES = ("learnable", "binary", "weighted")
@@ -166,8 +167,23 @@ def shared_effective_adjacency(model: LGrinModel) -> Tensor | None:
     return adjmod.effective_adjacency(raw) if raw is not None else model.graph
 
 
+def samples_for(model: LGrinModel, dataset: GraphDataset) -> list[SequenceSample]:
+    """The dataset's samples padded to M; a DataError unless its
+    (target_length, feature_dim) is the model's (m, p) and its classes fit
+    the head."""
+    cfg = model.config
+    if (dataset.target_length, dataset.feature_dim) != (cfg.m, cfg.p):
+        raise DataError(f"dataset ({dataset.target_length}, {dataset.feature_dim}) "
+                        f"does not match model ({cfg.m}, {cfg.p})")
+    if dataset.num_classes > cfg.c:
+        raise DataError(f"dataset has {dataset.num_classes} classes, "
+                        f"model head only {cfg.c}")
+    return [pad_or_truncate(s, cfg.m) for s in dataset.samples]
+
+
 def _stacked_features(model: LGrinModel, samples: list[SequenceSample]) -> Tensor:
-    """The samples' node features as one constant (M, B, P) batch."""
+    """The samples' node features as one constant (M, B, P) batch: finite
+    (a DataError names the first sample that is not), with -0.0 read as 0.0."""
     m, p = model.config.m, model.config.p
     if not samples:
         raise ContractError("a forward pass needs at least one sample")
@@ -175,7 +191,12 @@ def _stacked_features(model: LGrinModel, samples: list[SequenceSample]) -> Tenso
         if s.features.shape != (m, p):
             raise ShapeError(f"sample {s.id!r} has shape "
                              f"{s.features.shape}, model expects ({m}, {p})")
-    return ad.constant(np.stack([s.features for s in samples], axis=1))
+    x = np.stack([s.features for s in samples], axis=1)
+    if not np.isfinite(x).all():
+        bad = next(s for s in samples if not np.isfinite(s.features).all())
+        raise DataError(f"sample {bad.id!r} has non-finite features")
+    x += 0.0  # -0.0 -> 0.0
+    return ad.constant(x)
 
 
 def forward_shared(model: LGrinModel, samples: list[SequenceSample]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_int_fields
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,7 @@ class LossWeights:
     lambda3: float = 1e-4
 
     def __post_init__(self):
+        check_int_fields(self)
         if min(self.lambda1, self.lambda2, self.lambda3) < 0:
             raise ConfigError("loss weights must be non-negative")
 

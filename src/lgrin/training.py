@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as mm
 from .autodiff import GradTape, Tensor
-from .data import GraphDataset, SequenceSample, pad_or_truncate
+from .data import GraphDataset, SequenceSample
 from .errors import ConfigError, ContractError, NumericalError, check_int_fields
 from .objective import LossWeights
 
@@ -46,6 +46,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr0 <= 0 or self.batch_size < 1 or self.decay_every < 1:
             raise ConfigError("need lr0 > 0, batch_size >= 1, decay_every >= 1")
+        if not 0 < self.decay <= 1:
+            raise ConfigError(f"decay must be in (0, 1], got {self.decay}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.epsilon > 0):
             raise ConfigError("invalid Adam hyperparameters")
 
@@ -125,18 +127,6 @@ def registry_grads(registry: dict[str, Tensor],
             for name, t in registry.items()}
 
 
-def _check_compat(model: mm.LGrinModel, dataset: GraphDataset) -> None:
-    if dataset.target_length != model.config.m:
-        raise ConfigError(f"dataset target_length {dataset.target_length} "
-                          f"!= model M {model.config.m}")
-    if dataset.feature_dim != model.config.p:
-        raise ConfigError(f"dataset feature_dim {dataset.feature_dim} "
-                          f"!= model P {model.config.p}")
-    if dataset.num_classes > model.config.c:
-        raise ConfigError(f"dataset has {dataset.num_classes} classes, "
-                          f"model head only {model.config.c}")
-
-
 def train(model: mm.LGrinModel, dataset: GraphDataset, cfg: TrainConfig,
           trainable: set[str] | None = None) -> tuple[mm.LGrinModel, TrainReport]:
     """Run the full epoch loop, mutating the model's parameters in place.
@@ -144,9 +134,8 @@ def train(model: mm.LGrinModel, dataset: GraphDataset, cfg: TrainConfig,
     ``trainable`` restricts the Adam update to a subset of registry names
     (used by head fine-tuning); gradients are still computed everywhere.
     """
-    _check_compat(model, dataset)
     started = time.perf_counter()
-    padded = [pad_or_truncate(s, model.config.m) for s in dataset.samples]
+    padded = mm.samples_for(model, dataset)
     labels = dataset.labels()
     n = len(padded)
     if trainable is None:

@@ -130,17 +130,6 @@ class TestNeighborhoodMax:
         expected = np.tile(h.max(axis=0), (6, 1))
         npt.assert_array_equal(out, expected)
 
-    def test_signed_zero_tie_keeps_first_index_without_tape(self):
-        h = ad.constant([[0.0, -0.0], [-0.0, 0.0], [-1.0, -1.0]])
-        out = ad.neighborhood_max(h, np.ones((3, 3), bool)).values
-        assert out.tobytes() == np.array([[0.0, -0.0]] * 3).tobytes()
-
-    def test_nan_keeps_first_nan_without_tape(self):
-        first = np.array([np.nan, -np.nan])
-        h = ad.constant(np.stack([first, -first, [1.0, 1.0]]))
-        out = ad.neighborhood_max(h, np.ones((3, 3), bool)).values
-        assert out.tobytes() == np.stack([first] * 3).tobytes()
-
     def test_gradient_first_index_on_ties(self):
         h = ad.parameter([[2.0], [2.0], [1.0]])
         _, grads = grad_of(

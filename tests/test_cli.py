@@ -608,11 +608,41 @@ ERROR_TABLE = [
      1, "required positional argument: 'm'"),
     ("ablate-base-train-rejects", "ablate --config {r}/run.json --grid {{}} "
      "--override model.inception_layers=2 --out {r}/grid.csv", 1, "1 eta pairs for 2 layers"),
-    # eval and inspect share one dataset check
+    # eval, inspect and train share one dataset check
     ("salient-width", "inspect --checkpoint {r}/run/checkpoint.npz --what salient "
      "--data {r}/p5/manifest.json", 2, "does not match model (8, 4)"),
     ("eval-more-classes", "eval --checkpoint {r}/run/checkpoint.npz --data {r}/c4/manifest.json",
      2, "dataset has 4 classes, model head only 3"),
+    ("train-width", "train --config {r}/run.json --override data.manifest={r}/p5/manifest.json "
+     "--override output_dir={r}/mismatch", 2, "dataset (8, 5) does not match model (8, 4)"),
+    # a config number must be finite and not a bool (JSON reads NaN, Infinity, true)
+    *[(f"override-{key}-{value}", f"train --config {{r}}/run.json --override {key}={value} "
+       "--override output_dir={r}/numbers", 1, message)
+      for key, value, message in [
+          ("model.mask_threshold", "NaN", "mask_threshold must be a finite number, got nan"),
+          ("model.mask_threshold", "Infinity", "mask_threshold must be a finite number"),
+          ("model.mask_threshold", "true", "mask_threshold must be a finite number, got True"),
+          ("train.epsilon", "Infinity", "epsilon must be a finite number, got inf"),
+          ("train.decay", "NaN", "decay must be a finite number, got nan"),
+          ("train.decay", "-1", "decay must be in (0, 1], got -1"),
+          ("train.decay", "0", "decay must be in (0, 1], got 0"),
+          ("train.lr0", "NaN", "lr0 must be a finite number, got nan"),
+          ("train.lr0", "Infinity", "lr0 must be a finite number, got inf"),
+          ("train.lr0", "true", "lr0 must be a finite number, got True"),
+          ("train.loss_weights.lambda1", "NaN", "lambda1 must be a finite number, got nan"),
+          ("train.loss_weights.lambda1", "Infinity", "lambda1 must be a finite number"),
+          ("train.loss_weights.lambda2", "true", "lambda2 must be a finite number, got True"),
+      ]],
+    ("override-lr0-beyond-float", "train --config {r}/run.json --override train.lr0=1"
+     + "0" * 400, 1, "lr0 must be a finite number"),
+    ("synth-noise-nan", "synth --classes 3 --per-class 2 --m 8 --p 4 --noise NaN "
+     "--out {r}/noisy", 1, "noise must be a finite number, got nan"),
+    ("gradcheck-eps-zero", "gradcheck --config {r}/run.json --eps 0",
+     1, "--eps must be a positive finite number, got 0.0"),
+    ("gradcheck-eps-negative", "gradcheck --config {r}/run.json --eps -1",
+     1, "--eps must be a positive finite number, got -1.0"),
+    ("gradcheck-threshold-nan", "gradcheck --config {r}/run.json --threshold nan",
+     1, "--threshold must be a positive finite number, got nan"),
 ]
 
 

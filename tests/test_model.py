@@ -11,8 +11,10 @@ from lgrin import adjacency as adj
 from lgrin import autodiff as ad
 from lgrin import layers as L
 from lgrin import model as mm
+from lgrin import training as tr
 from lgrin.data import SequenceSample
-from lgrin.errors import ConfigError, ShapeError, config_from_json
+from lgrin.errors import ConfigError, DataError, ShapeError, config_from_json
+from lgrin.objective import LossWeights
 
 FACIAL = dict(m=90, p=136, c=6)
 TABLE_GRID = [(16, 32), (32, 64), (64, 128), (128, 256)]
@@ -198,6 +200,47 @@ class TestParameterCount:
         diff = (mm.parameter_count(mm.build_lgrin(cfg_full))
                 - mm.parameter_count(mm.build_lgrin(cfg_max)))
         assert diff == cfg_full.m + 2 * q * cfg_full.c
+
+
+class TestFeatureBoundary:
+    """Every forward pass reads finite features, with -0.0 read as 0.0."""
+
+    @pytest.mark.parametrize("adjacency_mode", ["learnable", "binary", "weighted"])
+    def test_negative_zero_reads_as_zero(self, adjacency_mode):
+        cfg = small_config(inception_layers=2, etas=[(8, 4), (5, 3)],
+                           adjacency_mode=adjacency_mode, seed=3)
+        model = mm.build_lgrin(cfg)
+        # mostly zeros and few positives: many neighborhoods' maxima, even
+        # two hops out, are ties between zeros
+        values = np.random.default_rng(7).choice([0.0, 0.0, -1.0, 0.5],
+                                                 size=(4, cfg.m, cfg.p))
+        plus = [SequenceSample(v, i % cfg.c, f"s{i}") for i, v in enumerate(values)]
+        minus = [SequenceSample(np.where(s.features == 0.0, -0.0, s.features),
+                                s.label, s.id) for s in plus]
+        assert np.signbit(minus[0].features).sum() > np.signbit(plus[0].features).sum()
+
+        def taped(samples):
+            with ad.GradTape() as tape:
+                total, out = mm.loss(model, samples, LossWeights())
+            grads = tr.registry_grads(model.registry, ad.backward(total, tape))
+            return [a.tobytes() for a in (total.values, out.values, *grads.values())]
+
+        h = mm.forward_shared(model, minus)[2].values
+        assert not (np.signbit(h) & (h == 0.0)).any()
+        assert taped(minus) == taped(plus)
+        assert tr.evaluate(model, minus) == tr.evaluate(model, plus)
+        assert mm.salient_nodes(model, minus) == mm.salient_nodes(model, plus)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_the_sample(self, bad):
+        model = mm.build_lgrin(small_config())
+        samples = [random_sample(model.config, seed=seed) for seed in range(3)]
+        samples[1].features[2, 3] = bad
+        for call in (lambda: tr.evaluate(model, samples),
+                     lambda: mm.salient_nodes(model, samples),
+                     lambda: mm.loss(model, samples, LossWeights())):
+            with pytest.raises(DataError, match="sample 's1' has non-finite features"):
+                call()
 
 
 class TestSalientNode:

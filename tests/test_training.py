@@ -11,7 +11,8 @@ from lgrin import autodiff as ad
 from lgrin import data as dd
 from lgrin import model as mm
 from lgrin import training as tr
-from lgrin.errors import ConfigError, ContractError, NumericalError, config_from_json
+from lgrin.errors import (ConfigError, ContractError, DataError, NumericalError,
+                          config_from_json)
 from lgrin.objective import LossWeights
 
 
@@ -163,7 +164,7 @@ class TestTrainLoop:
     def test_dataset_mismatch_rejected(self):
         model = mm.build_lgrin(small_config())
         bad = small_dataset(m=9)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             tr.train(model, bad, tr.TrainConfig(epochs=1))
 
     def test_baseline_gcn_trains(self):
@@ -293,10 +294,10 @@ class TestFineTuneHead:
 
     def test_dimension_mismatch_rejected(self):
         model, _ = self.train_small()
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             tr.fine_tune_head(model, small_dataset(p=5),
                               tr.TrainConfig(epochs=1))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             tr.fine_tune_head(model, small_dataset(m=9),
                               tr.TrainConfig(epochs=1))
 
