@@ -23,7 +23,7 @@ from .data import (GraphDataset, SynthSpec, atomic_write_text, cv_split,
                    load_dataset, save_dataset, synth_generate)
 from .errors import (ConfigError, ContractError, DataError, LgrinError,
                      NumericalError, SplitError, check_keys, config_from_json,
-                     is_finite_number, is_int)
+                     is_finite_number, is_int, parse_json, read_text)
 from .objective import LossWeights
 
 EXIT_OK = 0
@@ -43,8 +43,8 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
             raise ConfigError(f"override {item!r} is not KEY=VALUE")
         key, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
+            value = parse_json(raw, ValueError, key)
+        except ValueError:  # a value that does not parse is a string
             value = raw
         parts = key.split(".")
         node = doc
@@ -96,12 +96,7 @@ def load_run_config(path: str | Path, overrides: list[str]) -> tuple[dict, dict]
     "output_dir" as a Path.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    doc = parse_json(read_text(path, ConfigError, "config file"), ConfigError, str(path))
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must be a JSON object")
     sections = {"model": model_config_from_section,
@@ -186,11 +181,8 @@ _GRID_ENTRY_RULES = {
 def _parse_grid(spec: str, axes: dict[str, list]) -> dict[str, list]:
     """The ablation axes: each list in the grid spec replaces its base axis."""
     if spec.startswith("@"):
-        spec = Path(spec[1:]).read_text(encoding="utf-8")
-    try:
-        grid = json.loads(spec)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"grid spec is not valid JSON: {exc}") from exc
+        spec = read_text(spec[1:], DataError, "grid file")
+    grid = parse_json(spec, ConfigError, "grid spec")
     check_keys(grid, axes, "grid spec")
     for key, values in grid.items():
         if not isinstance(values, list):

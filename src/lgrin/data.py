@@ -16,7 +16,8 @@ from typing import BinaryIO, Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SplitError, check_int_fields, is_int
+from .errors import (ConfigError, DataError, SplitError, check_int_fields, is_int,
+                     parse_json, read_text)
 
 
 @dataclass
@@ -68,22 +69,20 @@ _MANIFEST_KEYS = {"name", "num_classes", "feature_dim", "target_length", "sample
 
 
 def _read_csv_matrix(path: Path, expected_width: int) -> np.ndarray:
-    if not path.is_file():
-        raise DataError(f"feature file not found: {path}")
+    text = read_text(path, DataError, "feature file")
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != expected_width:
-                raise DataError(f"{path}:{lineno}: expected {expected_width} "
-                                f"columns, found {len(cells)}")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != expected_width:
+            raise DataError(f"{path}:{lineno}: expected {expected_width} "
+                            f"columns, found {len(cells)}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
     if not rows:
         raise DataError(f"{path}: no frames")
     return np.array(rows, dtype=np.float64)
@@ -92,12 +91,8 @@ def _read_csv_matrix(path: Path, expected_width: int) -> np.ndarray:
 def load_dataset(manifest_path: str | Path) -> GraphDataset:
     """Load a dataset from its JSON manifest, validating every sample."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise DataError(f"manifest not found: {manifest_path}")
-    try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    doc = parse_json(read_text(manifest_path, DataError, "manifest"), DataError,
+                     str(manifest_path))
     if not isinstance(doc, dict) or not _MANIFEST_KEYS.issubset(doc):
         missing = _MANIFEST_KEYS - set(doc) if isinstance(doc, dict) else _MANIFEST_KEYS
         raise DataError(f"{manifest_path}: missing manifest keys {sorted(missing)}")
@@ -125,7 +120,12 @@ def load_dataset(manifest_path: str | Path) -> GraphDataset:
             raise DataError(f"{manifest_path}: sample #{pos} label must be an "
                             f"integer, got {label!r}")
         path = base / str(rel)
-        if not path.resolve().is_relative_to(root):
+        try:
+            inside = path.resolve().is_relative_to(root)
+        except ValueError as exc:  # an embedded NUL byte
+            raise DataError(f"{manifest_path}: sample #{pos} features {rel!r} "
+                            f"is not a valid path ({exc})") from exc
+        if not inside:
             raise DataError(f"{manifest_path}: sample #{pos} features {rel!r} "
                             f"lie outside the dataset directory")
         features = _read_csv_matrix(path, feature_dim)
@@ -266,12 +266,6 @@ def synth_generate(spec: SynthSpec) -> GraphDataset:
     ds = GraphDataset(samples=samples, num_classes=spec.num_classes,
                       feature_dim=spec.p, target_length=spec.m, name=spec.name)
     return ds.validate()
-
-
-def class_phases(spec: SynthSpec) -> np.ndarray:
-    """The (num_classes, p) phase table the generator would use."""
-    rng = np.random.default_rng(spec.seed)
-    return rng.uniform(0.0, 2.0 * np.pi, size=(spec.num_classes, spec.p))
 
 
 def cv_split(ds: GraphDataset, k: int, seed: int) -> list[tuple[list[int], list[int]]]:

@@ -1,12 +1,15 @@
 """Exception types shared across the package, plus the checks behind every
 config: the integer and finite-number check that config dataclasses run
-before their own validation, and the one function that makes a config
-dataclass from parsed JSON."""
+before their own validation, the one function that makes a config
+dataclass from parsed JSON, and the text and JSON readers behind every
+input file, which turn each way a file can be unreadable into one error."""
 
 import dataclasses
+import json
 import math
 import sys
 import typing
+from pathlib import Path
 
 
 class LgrinError(Exception):
@@ -87,3 +90,25 @@ def config_from_json(cls, doc, where: str):
         return cls(**kwargs)
     except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from exc
+
+
+def read_text(path: str | Path, error: type[LgrinError], what: str) -> str:
+    """The UTF-8 text of ``path``; a missing file or one that is not UTF-8
+    raises ``error`` naming ``what`` and the path."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {what} is not UTF-8 text "
+                    f"({exc.reason} at offset {exc.start})") from exc
+
+
+def parse_json(text: str, error: type[Exception], where: str):
+    """``text`` parsed as JSON; malformed or too deeply nested JSON raises
+    ``error`` naming ``where``."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{where}: invalid JSON ({exc})") from exc

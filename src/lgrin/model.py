@@ -31,7 +31,7 @@ from . import layers as L
 from .autodiff import Tensor
 from .data import GraphDataset, SequenceSample, atomic_write, pad_or_truncate
 from .errors import (ConfigError, ContractError, DataError, ShapeError,
-                     check_int_fields, config_from_json, is_int)
+                     check_int_fields, config_from_json, is_int, parse_json)
 from .objective import LossWeights, graph_learning_loss
 
 ADJACENCY_MODES = ("learnable", "binary", "weighted")
@@ -343,10 +343,11 @@ def load_checkpoint(path: str | Path) -> LGrinModel:
     with zf:
         if "meta" not in zf:
             raise ConfigError(f"{path}: not a model checkpoint")
-        try:
-            meta = json.loads(str(zf["meta"]))
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:  # bad JSON is a ValueError
-            raise ConfigError(f"{path}: checkpoint meta is not JSON ({exc})") from exc
+        try:  # an object array raises ValueError without pickle
+            text = str(zf["meta"])
+        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            raise ConfigError(f"{path}: checkpoint meta cannot be read ({exc})") from exc
+        meta = parse_json(text, ConfigError, f"{path}: checkpoint meta")
         if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
             raise ConfigError(f"{path}: unknown checkpoint format")
         if meta.get("version") != CHECKPOINT_VERSION:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,14 @@ class TestAblate:
         one_line_error(capsys, "No space left on device")
         assert list(out.parent.iterdir()) == []
 
+    def test_bad_grid_cell_fails_before_any_training(self, tmp_path, run_config,
+                                                     monkeypatch, capsys):
+        monkeypatch.setattr(tr, "train", lambda *args: pytest.fail("a cell trained"))
+        grid = '{"adjacency_mode": ["learnable", "magic"]}'
+        assert run("ablate", "--config", str(run_config), "--grid", grid,
+                   "--out", str(tmp_path / "grid.csv"), "--holdout-folds", "4") == 1
+        one_line_error(capsys, "unknown adjacency_mode 'magic'")
+
 
 class TestGradcheck:
     def write_config(self, tmp_path):
@@ -365,109 +374,6 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
-def one_line_error(capsys, expected):
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and expected in err, err
-
-
-def checkpoint_arrays(ckpt):
-    with np.load(ckpt) as zf:
-        return {key: zf[key] for key in zf.files}
-
-
-def write_meta(path, arrays, text):
-    np.savez(path, **{**arrays, "meta": np.array(text)})
-
-
-class TestBadInputs:
-    @pytest.mark.parametrize("edit, expected", [
-        (lambda meta: meta.update(arch="transformer"), "unknown arch 'transformer'"),
-        (lambda meta: meta.pop("arch"), "no 'arch'"),
-        (lambda meta: meta.pop("config"), "no 'config'"),
-        (lambda meta: meta["config"].update(frobnicate=1), "bad checkpoint config"),
-        (lambda meta: meta.update(arch=["lgrin"]), "unknown arch ['lgrin']"),
-        (lambda meta: meta["config"].update(etas=[[8.5, 4]]), "etas must be pairs of integers"),
-    ], ids=["unknown-arch", "no-arch", "no-config", "unknown-config-key", "arch-not-string",
-            "etas-not-integers"])
-    def test_checkpoint_meta(self, trained, dataset_dir, tmp_path, capsys,
-                             edit, expected):
-        ckpt, _ = trained
-        arrays = checkpoint_arrays(ckpt)
-        meta = json.loads(str(arrays["meta"]))
-        edit(meta)
-        bad = tmp_path / "bad.npz"
-        write_meta(bad, arrays, json.dumps(meta))
-        assert run("eval", "--checkpoint", str(bad),
-                   "--data", str(dataset_dir / "manifest.json")) == 1
-        one_line_error(capsys, expected)
-
-    @pytest.mark.parametrize("write, expected", [
-        (lambda path, arrays: write_meta(path, arrays, "{not json"),
-         "checkpoint meta is not JSON"),
-        (lambda path, arrays: path.write_text("not a zip archive\n"),
-         "not a model checkpoint"),
-        (lambda path, arrays: np.savez(path, **{**arrays, "meta": np.array([None])}),
-         "checkpoint meta is not JSON"),
-    ], ids=["meta-not-json", "not-npz", "meta-object"])
-    def test_checkpoint_file(self, trained, dataset_dir, tmp_path, capsys,
-                             write, expected):
-        ckpt, _ = trained
-        bad = tmp_path / "bad.npz"
-        write(bad, checkpoint_arrays(ckpt))
-        assert run("eval", "--checkpoint", str(bad),
-                   "--data", str(dataset_dir / "manifest.json")) == 1
-        one_line_error(capsys, expected)
-
-    @pytest.mark.parametrize("stored, expected", [
-        (np.array(["0", "1", "x"]), "parameter 'head.b' has dtype <U1, not a real float"),
-        (np.array([0.0, None, 1.0], dtype=object), "parameter 'head.b' cannot be read"),
-        (np.zeros(3, dtype=complex), "parameter 'head.b' has dtype complex128"),
-        (np.array([0.0, np.nan, 1.0]), "parameter 'head.b' has non-finite values"),
-        (np.zeros(4), "parameter 'head.b' shape (4,) != (3,)"),
-    ], ids=["string", "object", "complex", "nan", "wrong-shape"])
-    def test_checkpoint_parameter(self, trained, dataset_dir, tmp_path, capsys,
-                                  stored, expected):
-        ckpt, _ = trained
-        bad = tmp_path / "bad.npz"
-        np.savez(bad, **{**checkpoint_arrays(ckpt), "param/head.b": stored})
-        assert run("eval", "--checkpoint", str(bad),
-                   "--data", str(dataset_dir / "manifest.json")) == 1
-        one_line_error(capsys, expected)
-
-    @pytest.mark.parametrize("override, expected", [
-        ("model.etas=5", "bad model section"),
-        ("model=3", "model section must be a JSON object"),
-        ("train.epochs=1.5", "epochs must be an integer, got 1.5"),
-        ("train.batch_size=2.5", "batch_size must be an integer, got 2.5"),
-        ("model.m=6.5", "m must be an integer, got 6.5"),
-    ], ids=["etas-not-pairs", "section-not-object", "fractional-epochs",
-            "fractional-batch-size", "fractional-m"])
-    def test_model_override(self, run_config, capsys, override, expected):
-        assert run("train", "--config", str(run_config),
-                   "--override", override) == 1
-        one_line_error(capsys, expected)
-
-    @pytest.mark.parametrize("grid, expected", [
-        ('{"layers": 2}', "must be a list"),
-        ('{"lambdas": [[0.1, 0.1]]}', "must hold 3 numbers"),
-        ('{"etas": [5]}', "each grid etas entry must hold 2 integers"),
-        ('{"layers": ["two"]}', "each grid layers entry must be an integer"),
-    ], ids=["value-not-list", "short-lambdas", "etas-not-pair", "layers-not-int"])
-    def test_ablate_grid(self, tmp_path, run_config, capsys, grid, expected):
-        assert run("ablate", "--config", str(run_config), "--grid", grid,
-                   "--out", str(tmp_path / "grid.csv")) == 1
-        one_line_error(capsys, expected)
-        assert not (tmp_path / "grid.csv").exists()
-
-    def test_bad_grid_cell_fails_before_any_training(self, tmp_path, run_config,
-                                                     monkeypatch, capsys):
-        monkeypatch.setattr(tr, "train", lambda *args: pytest.fail("a cell trained"))
-        grid = '{"adjacency_mode": ["learnable", "magic"]}'
-        assert run("ablate", "--config", str(run_config), "--grid", grid,
-                   "--out", str(tmp_path / "grid.csv"), "--holdout-folds", "4") == 1
-        one_line_error(capsys, "unknown adjacency_mode 'magic'")
-
-
 class TestUsageErrors:
     def test_unknown_command_exits_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -480,14 +386,18 @@ class TestUsageErrors:
         assert exc.value.code == 1
 
 
-def lgrin_cli(*argv):
-    """Run the command line in its own process: (exit code, stderr text)."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "lgrin.cli", *argv],
-                          env={**os.environ, "PYTHONPATH": pythonpath},
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stderr
+def one_line_error(capsys, expected):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and expected in err, err
+
+
+def checkpoint_arrays(ckpt):
+    with np.load(ckpt) as zf:
+        return {key: zf[key] for key in zf.files}
+
+
+# JSON nested deeper than the parser's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.fixture(scope="module")
@@ -511,21 +421,44 @@ def bad_inputs(tmp_path_factory):
         assert run("synth", "--classes", str(classes), "--per-class", "2", "--m", "8",
                    "--p", str(p), "--out", str(root / name)) == 0
     (root / "not_json.json").write_text("{")
+    (root / "latin1.json").write_bytes(b'{"name": "caf\xe9"}')
+    (root / "deep.json").write_text(DEEP_JSON)
     doc["model"]["frobnicate"] = 1
     (root / "unknown_key.json").write_text(json.dumps(doc))
     (root / "junk.npz").write_text("not a zip archive\n")
     arrays = checkpoint_arrays(root / "run" / "checkpoint.npz")
     meta = json.loads(str(arrays["meta"]))
-    write_meta(root / "arch.npz", arrays, json.dumps({**meta, "arch": "transformer"}))
+    without = {key: {k: v for k, v in meta.items() if k != key} for key in ("arch", "config")}
+    # <name>.npz is the trained checkpoint with one array replaced
+    for name, key, value in [
+            ("arch", "meta", {**meta, "arch": "transformer"}),
+            ("no_arch", "meta", without["arch"]),
+            ("no_config", "meta", without["config"]),
+            ("config_key", "meta", {**meta, "config": {**meta["config"], "frobnicate": 1}}),
+            ("arch_list", "meta", {**meta, "arch": ["lgrin"]}),
+            ("etas_float", "meta", {**meta, "config": {**meta["config"], "etas": [[8.5, 4]]}}),
+            ("meta_text", "meta", np.array("{not json")),
+            ("meta_object", "meta", np.array([None])),
+            ("meta_deep", "meta", np.array(DEEP_JSON)),
+            ("head_string", "param/head.b", np.array(["0", "1", "x"])),
+            ("head_object", "param/head.b", np.array([0.0, None, 1.0], dtype=object)),
+            ("head_complex", "param/head.b", np.zeros(3, dtype=complex)),
+            ("head_nan", "param/head.b", np.array([0.0, np.nan, 1.0])),
+            ("head_shape", "param/head.b", np.zeros(4))]:
+        if isinstance(value, dict):
+            value = np.array(json.dumps(value))
+        np.savez(root / f"{name}.npz", **{**arrays, key: value})
     manifest = json.loads((root / "ds" / "manifest.json").read_text())
     for name, features, csv in [("escape", "../run.json", None),
-                                ("cell", "a.csv", "1,x,3,4\n"),
-                                ("width", "a.csv", "1,2,3\n")]:
+                                ("nul", "a\0.csv", None),
+                                ("cell", "a.csv", b"1,x,3,4\n"),
+                                ("width", "a.csv", b"1,2,3\n"),
+                                ("latin1_csv", "a.csv", b"1,2,3,4\xe9\n")]:
         (root / name).mkdir()
         (root / name / "manifest.json").write_text(json.dumps(
             {**manifest, "samples": [{"features": features, "label": 0, "id": "a"}]}))
         if csv is not None:
-            (root / name / "a.csv").write_text(csv)
+            (root / name / "a.csv").write_bytes(csv)
     first = manifest["samples"][0]
     for name, edit in [("samples5", {"samples": 5}),
                        ("label17", {"samples": [{**first, "label": 1.7}]}),
@@ -537,41 +470,85 @@ def bad_inputs(tmp_path_factory):
     return root
 
 
+EVAL = "eval --checkpoint {r}/run/checkpoint.npz --data"
+ABLATE = "ablate --config {r}/run.json --out {r}/grid.csv --grid"
+TOO_DEEP = "invalid JSON (maximum recursion depth exceeded"
+
 ERROR_TABLE = [
-    # id, argv ({r} is the fixture directory), exit code, text in the message
+    # id, argv ({r} is the fixture directory; split on spaces), exit code,
+    # text in the message
     ("config-missing", "train --config {r}/missing.json", 1, "config file not found"),
     ("config-not-json", "train --config {r}/not_json.json", 1, "invalid JSON"),
+    ("config-not-utf8", "train --config {r}/latin1.json", 1,
+     "latin1.json: config file is not UTF-8 text (invalid continuation byte"),
+    ("config-too-deep", "train --config {r}/deep.json", 1, TOO_DEEP),
     ("config-unknown-key", "train --config {r}/unknown_key.json", 1, "frobnicate"),
     ("override-not-assignment", "train --config {r}/run.json --override train.epochs",
      1, "is not KEY=VALUE"),
     ("override-fractional", "train --config {r}/run.json --override train.epochs=1.5",
-     1, "epochs must be an integer"),
-    ("grid-not-json", "ablate --config {r}/run.json --grid {{ --out {r}/grid.csv",
-     1, "grid spec is not valid JSON"),
-    ("grid-not-list", 'ablate --config {r}/run.json --grid {{"layers":2}} --out {r}/grid.csv',
-     1, "must be a list"),
-    ("manifest-missing", "eval --checkpoint {r}/run/checkpoint.npz --data {r}/missing.json",
-     2, "manifest not found"),
-    ("manifest-not-json", "eval --checkpoint {r}/run/checkpoint.npz "
-     "--data {r}/broken/manifest.json", 2, "invalid JSON"),
-    ("manifest-escapes", "eval --checkpoint {r}/run/checkpoint.npz "
-     "--data {r}/escape/manifest.json", 2, "outside the dataset directory"),
-    ("manifest-samples-not-list", "eval --checkpoint {r}/run/checkpoint.npz "
-     "--data {r}/ds/samples5.json", 2, "samples must be a list, got 5"),
-    ("manifest-fractional-label", "eval --checkpoint {r}/run/checkpoint.npz "
-     "--data {r}/ds/label17.json", 2, "sample #0 label must be an integer, got 1.7"),
-    ("manifest-fractional-classes", "eval --checkpoint {r}/run/checkpoint.npz "
-     "--data {r}/ds/classes29.json", 2, "must be integers, num_classes is 2.9"),
-    ("manifest-length-string", "eval --checkpoint {r}/run/checkpoint.npz "
-     "--data {r}/ds/length_string.json", 2, "must be integers, target_length is '8'"),
-    ("csv-non-numeric", "eval --checkpoint {r}/run/checkpoint.npz "
-     "--data {r}/cell/manifest.json", 2, "non-numeric cell"),
-    ("csv-width", "eval --checkpoint {r}/run/checkpoint.npz --data {r}/width/manifest.json",
-     2, "expected 4 columns"),
-    ("checkpoint-not-npz", "eval --checkpoint {r}/junk.npz --data {r}/ds/manifest.json",
-     1, "not a model checkpoint"),
-    ("checkpoint-unknown-arch", "eval --checkpoint {r}/arch.npz --data {r}/ds/manifest.json",
-     1, "unknown arch 'transformer'"),
+     1, "epochs must be an integer, got 1.5"),
+    ("override-fractional-batch-size",
+     "train --config {r}/run.json --override train.batch_size=2.5",
+     1, "batch_size must be an integer, got 2.5"),
+    ("override-fractional-m", "train --config {r}/run.json --override model.m=6.5",
+     1, "m must be an integer, got 6.5"),
+    ("override-etas-not-pairs", "train --config {r}/run.json --override model.etas=5",
+     1, "bad model section"),
+    ("override-section-not-object", "train --config {r}/run.json --override model=3",
+     1, "model section must be a JSON object"),
+    # an override value that does not parse as JSON is a string
+    ("override-too-deep", "train --config {r}/run.json --override model=" + DEEP_JSON,
+     1, "model section must be a JSON object"),
+    ("grid-not-json", ABLATE + " {{", 1, "grid spec: invalid JSON"),
+    ("grid-not-list", ABLATE + ' {{"layers":2}}', 1, "grid 'layers' must be a list"),
+    ("grid-short-lambdas", ABLATE + ' {{"lambdas":[[0.1,0.1]]}}', 1, "must hold 3 numbers"),
+    ("grid-etas-not-pair", ABLATE + ' {{"etas":[5]}}',
+     1, "each grid etas entry must hold 2 integers"),
+    ("grid-layers-not-int", ABLATE + ' {{"layers":["two"]}}',
+     1, "each grid layers entry must be an integer"),
+    ("grid-file-missing", ABLATE + " @{r}/missing.json", 2, "grid file not found"),
+    ("grid-file-not-utf8", ABLATE + " @{r}/latin1.json", 2, "grid file is not UTF-8 text"),
+    ("grid-too-deep", ABLATE + " @{r}/deep.json", 1, "grid spec: " + TOO_DEEP),
+    ("manifest-missing", EVAL + " {r}/missing.json", 2, "manifest not found"),
+    ("manifest-not-json", EVAL + " {r}/broken/manifest.json", 2, "invalid JSON"),
+    ("manifest-not-utf8", EVAL + " {r}/latin1.json", 2, "manifest is not UTF-8 text"),
+    ("manifest-too-deep", EVAL + " {r}/deep.json", 2, TOO_DEEP),
+    ("manifest-escapes", EVAL + " {r}/escape/manifest.json",
+     2, "outside the dataset directory"),
+    ("manifest-nul-path", EVAL + " {r}/nul/manifest.json",
+     2, "sample #0 features 'a\\x00.csv' is not a valid path"),
+    ("manifest-samples-not-list", EVAL + " {r}/ds/samples5.json",
+     2, "samples must be a list, got 5"),
+    ("manifest-fractional-label", EVAL + " {r}/ds/label17.json",
+     2, "sample #0 label must be an integer, got 1.7"),
+    ("manifest-fractional-classes", EVAL + " {r}/ds/classes29.json",
+     2, "must be integers, num_classes is 2.9"),
+    ("manifest-length-string", EVAL + " {r}/ds/length_string.json",
+     2, "must be integers, target_length is '8'"),
+    ("csv-non-numeric", EVAL + " {r}/cell/manifest.json", 2, "non-numeric cell"),
+    ("csv-width", EVAL + " {r}/width/manifest.json", 2, "expected 4 columns"),
+    ("csv-not-utf8", EVAL + " {r}/latin1_csv/manifest.json",
+     2, "a.csv: feature file is not UTF-8 text"),
+    # eval loads the checkpoint before the dataset
+    *[(f"checkpoint-{name}",
+       f"eval --checkpoint {{r}}/{file}.npz --data {{r}}/ds/manifest.json", 1, message)
+      for name, file, message in [
+          ("not-npz", "junk", "not a model checkpoint"),
+          ("unknown-arch", "arch", "unknown arch 'transformer'"),
+          ("no-arch", "no_arch", "checkpoint meta has no 'arch'"),
+          ("no-config", "no_config", "checkpoint meta has no 'config'"),
+          ("unknown-config-key", "config_key", "bad checkpoint config"),
+          ("arch-not-string", "arch_list", "unknown arch ['lgrin']"),
+          ("etas-not-integers", "etas_float", "etas must be pairs of integers"),
+          ("meta-text", "meta_text", "checkpoint meta: invalid JSON"),
+          ("meta-object", "meta_object", "checkpoint meta cannot be read"),
+          ("meta-too-deep", "meta_deep", "checkpoint meta: " + TOO_DEEP),
+          ("param-string", "head_string", "parameter 'head.b' has dtype <U1, not a real float"),
+          ("param-object", "head_object", "parameter 'head.b' cannot be read"),
+          ("param-complex", "head_complex", "parameter 'head.b' has dtype complex128"),
+          ("param-nan", "head_nan", "parameter 'head.b' has non-finite values"),
+          ("param-wrong-shape", "head_shape", "parameter 'head.b' shape (4,) != (3,)"),
+      ]],
     ("diverging-run", "train --config {r}/run.json --override train.lr0=1e300 "
      "--override output_dir={r}/diverged", 3, "loss became non-finite"),
     # sections are checked after the overrides are applied
@@ -611,7 +588,7 @@ ERROR_TABLE = [
     # eval, inspect and train share one dataset check
     ("salient-width", "inspect --checkpoint {r}/run/checkpoint.npz --what salient "
      "--data {r}/p5/manifest.json", 2, "does not match model (8, 4)"),
-    ("eval-more-classes", "eval --checkpoint {r}/run/checkpoint.npz --data {r}/c4/manifest.json",
+    ("eval-more-classes", EVAL + " {r}/c4/manifest.json",
      2, "dataset has 4 classes, model head only 3"),
     ("train-width", "train --config {r}/run.json --override data.manifest={r}/p5/manifest.json "
      "--override output_dir={r}/mismatch", 2, "dataset (8, 5) does not match model (8, 4)"),
@@ -649,8 +626,24 @@ ERROR_TABLE = [
 class TestErrorTable:
     @pytest.mark.parametrize("argv, code, expected", [row[1:] for row in ERROR_TABLE],
                              ids=[row[0] for row in ERROR_TABLE])
-    def test_one_line_and_exit_code(self, bad_inputs, argv, code, expected):
-        got, err = lgrin_cli(*argv.format(r=bad_inputs).split())
+    def test_one_line_and_exit_code(self, bad_inputs, capsys, argv, code, expected):
+        # a process would print any warning on stderr, and an exception
+        # escaping main would be its traceback
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = cli.main(argv.format(r=bad_inputs).split())
+        err = capsys.readouterr().err
         assert got == code, err
         assert err.count("\n") == 1 and expected in err, err
-        assert "Traceback" not in err
+        assert [str(w.message) for w in caught] == []
+        assert not (bad_inputs / "grid.csv").exists()
+
+    def test_module_entry_point(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "lgrin.cli", "train", "--config",
+                               str(tmp_path / "missing.json")],
+                              env={**os.environ, "PYTHONPATH": pythonpath},
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.count("\n") == 1 and "config file not found" in proc.stderr

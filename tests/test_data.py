@@ -248,7 +248,9 @@ class TestSynth:
         spec = dd.SynthSpec(num_classes=2, per_class=2, m=12, p=3,
                             noise=0.0, seed=21)
         ds = dd.synth_generate(spec)
-        phases = dd.class_phases(spec)
+        # the generator's first draw is the (class, feature) phase table
+        phases = np.random.default_rng(spec.seed).uniform(
+            0.0, 2 * np.pi, (spec.num_classes, spec.p))
         t = np.arange(12)
         s = ds.samples[0]  # class 0, frequency 1
         expected = np.sin(2 * np.pi * 1 * t[:, None] / 12 + phases[0][None, :])
