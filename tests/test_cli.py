@@ -623,20 +623,24 @@ ERROR_TABLE = [
 ]
 
 
+def expect_one_line(capsys, bad_inputs, argv, code, expected):
+    # a process would print any warning on stderr, and an exception
+    # escaping main would be its traceback
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = cli.main(argv)
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert err.count("\n") == 1 and expected in err, err
+    assert [str(w.message) for w in caught] == []
+    assert not (bad_inputs / "grid.csv").exists()
+
+
 class TestErrorTable:
     @pytest.mark.parametrize("argv, code, expected", [row[1:] for row in ERROR_TABLE],
                              ids=[row[0] for row in ERROR_TABLE])
     def test_one_line_and_exit_code(self, bad_inputs, capsys, argv, code, expected):
-        # a process would print any warning on stderr, and an exception
-        # escaping main would be its traceback
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = cli.main(argv.format(r=bad_inputs).split())
-        err = capsys.readouterr().err
-        assert got == code, err
-        assert err.count("\n") == 1 and expected in err, err
-        assert [str(w.message) for w in caught] == []
-        assert not (bad_inputs / "grid.csv").exists()
+        expect_one_line(capsys, bad_inputs, argv.format(r=bad_inputs).split(), code, expected)
 
     def test_module_entry_point(self, tmp_path):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -647,3 +651,37 @@ class TestErrorTable:
                               capture_output=True, text=True)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.count("\n") == 1 and "config file not found" in proc.stderr
+
+
+class TestBadInputs:
+    """One case per input kind, each also a table row. Here argv is a list, so
+    a value may hold spaces, as the override and grid values do; the table
+    splits its argv on spaces."""
+
+    @pytest.mark.parametrize("file, expected", [("arch.npz", "unknown arch 'transformer'")],
+                             ids=["unknown-arch"])
+    def test_checkpoint_meta(self, bad_inputs, capsys, file, expected):
+        expect_one_line(capsys, bad_inputs, ["eval", "--checkpoint", str(bad_inputs / file),
+                                             "--data", str(bad_inputs / "ds" / "manifest.json")],
+                        1, expected)
+
+    @pytest.mark.parametrize("file, expected", [("junk.npz", "not a model checkpoint")],
+                             ids=["not-npz"])
+    def test_checkpoint_file(self, bad_inputs, capsys, file, expected):
+        expect_one_line(capsys, bad_inputs, ["eval", "--checkpoint", str(bad_inputs / file),
+                                             "--data", str(bad_inputs / "ds" / "manifest.json")],
+                        1, expected)
+
+    @pytest.mark.parametrize("override, expected", [
+        ("train.epochs= 1.5", "epochs must be an integer, got 1.5"),
+    ], ids=["fractional-epochs"])
+    def test_model_override(self, bad_inputs, capsys, override, expected):
+        expect_one_line(capsys, bad_inputs, ["train", "--config", str(bad_inputs / "run.json"),
+                                             "--override", override], 1, expected)
+
+    @pytest.mark.parametrize("grid, expected", [('{"layers": 2}', "grid 'layers' must be a list")],
+                             ids=["value-not-list"])
+    def test_ablate_grid(self, bad_inputs, capsys, grid, expected):
+        expect_one_line(capsys, bad_inputs, ["ablate", "--config", str(bad_inputs / "run.json"),
+                                             "--grid", grid, "--out", str(bad_inputs / "grid.csv")],
+                        1, expected)
