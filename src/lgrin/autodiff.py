@@ -60,10 +60,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
     def item(self) -> float:
         if self.values.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")

@@ -82,7 +82,7 @@ def _data_source(section, base_dir: Path) -> Path | SynthSpec:
 
 
 def _output_dir(value) -> Path:
-    if not isinstance(value, str):
+    if not isinstance(value, str) or "\0" in value:
         raise ConfigError(f"output_dir must be a path string, got {value!r}")
     return Path(value)
 
@@ -140,8 +140,8 @@ def cmd_train(args) -> int:
     cfg = _require(run, "train")
     ds = _dataset(_require(run, "data"))
     out_dir = _require(run, "output_dir")
+    out_dir.mkdir(parents=True, exist_ok=True)  # fail on it before training
     model, report = tr.train(mm.BUILDERS[arch](config), ds, cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = mm.save_checkpoint(model, out_dir / "checkpoint.npz")
     report_doc = {"report": report.to_dict(), "run_config": doc,
                   "parameter_count": mm.parameter_count(model)}
@@ -161,9 +161,7 @@ def cmd_eval(args) -> int:
     text = json.dumps(metrics, indent=2)
     print(text)
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out, text + "\n")
+        atomic_write_text(args.out, text + "\n")
     return EXIT_OK
 
 
@@ -215,14 +213,19 @@ def cmd_ablate(args) -> int:
                            ds.feature_dim, ds.target_length, ds.name + "-test")
 
     # every cell's configs are built, and so checked, before any cell trains;
-    # a depth sweep without a filter sweep repeats the base's first pair
+    # a cell without a filter sweep keeps the base's etas at the base's depth
+    # and repeats the base's first pair at any other depth
     cells = [(dataclasses.replace(base, adjacency_mode=adj_mode, pooling_mode=pool_mode,
                                   inception_layers=n_layers,
-                                  etas=[etas or base.etas[0]] * n_layers),
+                                  etas=([etas or base.etas[0]] * n_layers
+                                        if etas or n_layers != base.inception_layers
+                                        else base.etas)),
               dataclasses.replace(base_train,
                                   loss_weights=LossWeights(*[float(x) for x in lam])),
               etas, lam)
              for adj_mode, pool_mode, etas, n_layers, lam in itertools.product(*axes.values())]
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)  # fail on it before training
     rows = []
     for config, cfg, etas, lam in cells:
         model, _ = tr.train(mm.BUILDERS[arch](config), train_ds, cfg)
@@ -232,8 +235,6 @@ def cmd_ablate(args) -> int:
                      "default" if etas is None else f"{etas[0]}x{etas[1]}",
                      config.inception_layers, *lam, acc, mm.parameter_count(model),
                      config.seed, cfg.seed))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out, "".join(",".join(str(v) for v in row) + "\n"
                                    for row in [_ABLATE_COLUMNS, *rows]))
     print(f"wrote {len(rows)} rows to {out}")
@@ -280,7 +281,6 @@ def cmd_inspect(args) -> int:
     model = mm.load_checkpoint(args.checkpoint)
     prefix = Path(args.out_prefix) if args.out_prefix else \
         Path(args.checkpoint).with_suffix("")
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     if args.what == "adjacency":
         a_eff = mm.shared_effective_adjacency(model)
         if a_eff is None:

@@ -8,6 +8,7 @@ downstream by padding or truncating every sample to the shared node count.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
@@ -139,21 +140,23 @@ def load_dataset(manifest_path: str | Path) -> GraphDataset:
 def atomic_write(path: str | Path, write: Callable[[BinaryIO], None]) -> Path:
     """Write a file through a temp file in its directory and ``os.replace``.
 
-    Readers see either the previous file or the complete new one. If
-    ``write`` raises, the previous file is left as it was and the temp
-    file is removed; an ``OSError`` is raised again naming ``path``, not
-    the temp file.
+    Missing parent directories are created first. Readers see either the
+    previous file or the complete new one. If ``write`` raises, the
+    previous file is left as it was and the temp file is removed; an
+    ``OSError`` is raised again naming ``path``, not the temp file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "xb") as fh:
             write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as exc:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # a parent that is a file fails here too
+            tmp.unlink(missing_ok=True)
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -188,7 +191,6 @@ def save_dataset(ds: GraphDataset, out_dir: str | Path, force: bool = False) -> 
     manifest_path = out_dir / "manifest.json"
     if manifest_path.exists() and not force:
         raise ConfigError(f"refusing to overwrite {manifest_path} (use force)")
-    out_dir.mkdir(parents=True, exist_ok=True)
     # a forced save that fails part way must not leave the old manifest
     # naming a mix of new and old CSVs
     manifest_path.unlink(missing_ok=True)

@@ -2,17 +2,18 @@
 
 A model is its config, its architecture name, its constant graph (if
 any) and a registry: the one ordered name -> tensor map of every
-learnable parameter (raw adjacency, per-layer branch weights, pooling
-weights, linear head). The forward pass, the optimizer and checkpoints
-all read parameters from the registry, and nothing else holds them. Two
-architectures share the container: the full learnable-graph inception
-network, and the plain GCN baseline (two renormalized propagation layers
-over the binary chain with a max|mean readout). This is the only module
-that tells them apart: ``BUILDERS`` maps each architecture name to its
-constructor, ``forward_shared`` is the one forward pass for both (one
-graph per minibatch), and ``loss`` is the one training objective, with the
-graph-learning terms each model trains. ``samples_for`` is the one check
-that a dataset fits a model.
+parameter (raw adjacency, per-layer branch weights, pooling weights,
+linear head). The forward pass, the optimizer and checkpoints all read
+parameters from the registry, and nothing else holds them. Training
+updates the entries that require grad; a fine-tuned model holds its
+frozen body as constants. Two architectures share the container: the
+full learnable-graph inception network, and the plain GCN baseline (two
+renormalized propagation layers over the binary chain with a max|mean
+readout). This is the only module that tells them apart: ``BUILDERS``
+maps each architecture name to its constructor, ``forward_shared`` is
+the one forward pass for both (one graph per minibatch), and ``loss`` is
+the one training objective, with the graph-learning terms each model
+trains. ``samples_for`` is the one check that a dataset fits a model.
 """
 
 from __future__ import annotations
@@ -326,7 +327,6 @@ def save_checkpoint(model: LGrinModel, path: str | Path) -> Path:
             "arch": model.arch, "config": dataclasses.asdict(model.config)}
     arrays = {"meta": np.array(json.dumps(meta)),
               **{f"param/{name}": t.values for name, t in model.registry.items()}}
-    path.parent.mkdir(parents=True, exist_ok=True)
     return atomic_write(path, lambda fh: np.savez(fh, **arrays))
 
 

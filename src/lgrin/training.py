@@ -127,24 +127,19 @@ def registry_grads(registry: dict[str, Tensor],
             for name, t in registry.items()}
 
 
-def train(model: mm.LGrinModel, dataset: GraphDataset, cfg: TrainConfig,
-          trainable: set[str] | None = None) -> tuple[mm.LGrinModel, TrainReport]:
+def train(model: mm.LGrinModel, dataset: GraphDataset,
+          cfg: TrainConfig) -> tuple[mm.LGrinModel, TrainReport]:
     """Run the full epoch loop, mutating the model's parameters in place.
 
-    ``trainable`` restricts the Adam update to a subset of registry names
-    (used by head fine-tuning); gradients are still computed everywhere.
+    Adam updates exactly the registry tensors that require grad; a
+    constant entry (a fine-tuned model's frozen body) is never changed.
     """
     started = time.perf_counter()
     padded = mm.samples_for(model, dataset)
     labels = dataset.labels()
     n = len(padded)
-    if trainable is None:
-        trainable = set(model.registry)
-    unknown = trainable - set(model.registry)
-    if unknown:
-        raise ConfigError(f"unknown trainable parameters {sorted(unknown)}")
-    sub_registry = {k: v for k, v in model.registry.items() if k in trainable}
-    state = AdamState.init(sub_registry)
+    params = {k: t for k, t in model.registry.items() if t.requires_grad}
+    state = AdamState.init(params)
     rng = np.random.default_rng(cfg.seed)
 
     loss_curve: list[float] = []
@@ -166,8 +161,8 @@ def train(model: mm.LGrinModel, dataset: GraphDataset, cfg: TrainConfig,
                 if not math.isfinite(step_loss):
                     raise NumericalError(f"loss became non-finite ({step_loss}) at "
                                          f"epoch {epoch}, batch {batch_index}")
-                grads = registry_grads(sub_registry, ad.backward(total, tape))
-                adam_step(sub_registry, grads, state, lr, cfg)
+                grads = registry_grads(params, ad.backward(total, tape))
+                adam_step(params, grads, state, lr, cfg)
             epoch_loss += step_loss
             correct += int(np.count_nonzero(logits.values.argmax(axis=1) == labels[idx]))
         for name, tensor in model.registry.items():
@@ -263,14 +258,17 @@ def fine_tune_head(model: mm.LGrinModel, target: GraphDataset,
                    cfg: TrainConfig) -> tuple[mm.LGrinModel, TrainReport]:
     """Adapt a trained model to a new corpus by retraining only the head.
 
-    All non-head parameters are shared with the input model and frozen
-    bit-exactly. If the target class count differs, the head is rebuilt at
-    the new width and re-initialized from cfg.seed.
+    Trains and returns a new model; the input model is left unchanged. Its
+    non-head entries are constants over the input's arrays, so they stay
+    bit-exact and no gradient is taken through them. Its head is a fresh
+    parameter copy, or is re-initialized from cfg.seed at the new width if
+    the target class count differs.
     """
     c = target.num_classes
-    tuned = dataclasses.replace(model, config=dataclasses.replace(model.config, c=c),
-                                registry=dict(model.registry))
+    registry = {name: ad.parameter(t.values) if name.startswith("head.")
+                else ad.constant(t.values) for name, t in model.registry.items()}
     if c != model.config.c:
-        mm.init_head(tuned.registry, model.registry["head.w"].shape[0], c,
+        mm.init_head(registry, registry["head.w"].shape[0], c,
                      np.random.default_rng(cfg.seed))
-    return train(tuned, target, cfg, trainable={"head.w", "head.b"})
+    return train(dataclasses.replace(model, config=dataclasses.replace(model.config, c=c),
+                                     registry=registry), target, cfg)

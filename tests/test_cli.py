@@ -127,6 +127,14 @@ class TestTrain:
         model = mm.load_checkpoint(tmp_path / "rb" / "checkpoint.npz")
         assert model.arch == "baseline_gcn"
 
+    def test_output_dir_under_file_fails_before_training(self, tmp_path, run_config,
+                                                         monkeypatch, capsys):
+        monkeypatch.setattr(tr, "train", lambda *args: pytest.fail("the run trained"))
+        (tmp_path / "afile").write_text("")
+        assert run("train", "--config", str(run_config),
+                   "--override", f"output_dir={tmp_path / 'afile' / 'run'}") == 2
+        one_line_error(capsys, "afile")
+
 
 class TestEval:
     def test_reproduces_final_train_accuracy(self, trained, dataset_dir,
@@ -226,6 +234,37 @@ class TestAblate:
         assert run("ablate", "--config", str(run_config), "--grid", grid,
                    "--out", str(tmp_path / "grid.csv"), "--holdout-folds", "4") == 1
         one_line_error(capsys, "unknown adjacency_mode 'magic'")
+
+    def test_out_under_file_fails_before_any_training(self, tmp_path, run_config,
+                                                      monkeypatch, capsys):
+        monkeypatch.setattr(tr, "train", lambda *args: pytest.fail("a cell trained"))
+        (tmp_path / "afile").write_text("")
+        assert run("ablate", "--config", str(run_config), "--grid", "{}",
+                   "--out", str(tmp_path / "afile" / "g.csv"), "--holdout-folds", "4") == 2
+        one_line_error(capsys, "afile")
+
+    @pytest.mark.parametrize("grid, trained_etas", [
+        ('{"adjacency_mode": ["learnable"]}', [((4, 2), (8, 6))]),
+        # a depth sweep repeats the base's first pair, except at the base's depth
+        ('{"layers": [1, 2, 3]}', [((4, 2),), ((4, 2), (8, 6)), ((4, 2),) * 3]),
+    ], ids=["no-sweep", "depth-sweep"])
+    def test_cell_without_etas_sweep_trains_base_etas(self, tmp_path, run_config,
+                                                     monkeypatch, grid, trained_etas):
+        seen, real_train = [], tr.train
+
+        def recording_train(model, dataset, cfg):
+            seen.append(model.config.etas)
+            return real_train(model, dataset, cfg)
+
+        monkeypatch.setattr(tr, "train", recording_train)
+        out = tmp_path / "etas.csv"
+        assert run("ablate", "--config", str(run_config), "--grid", grid,
+                   "--out", str(out), "--holdout-folds", "4",
+                   "--override", "train.epochs=1", "--override", "model.inception_layers=2",
+                   "--override", "model.etas=[[4, 2], [8, 6]]") == 0
+        assert seen == trained_etas
+        assert {line.split(",")[2] for line in out.read_text().splitlines()[1:]} == \
+            {"default"}
 
 
 class TestGradcheck:
@@ -555,6 +594,9 @@ ERROR_TABLE = [
     ("override-data-not-object", "train --config {r}/run.json --override data=5",
      1, "data section must be a JSON object"),
     ("override-output-dir-not-string", "train --config {r}/run.json --override output_dir=5",
+     1, "output_dir must be a path string"),
+    ("override-output-dir-nul",
+     r'train --config {r}/run.json --override output_dir="a\u0000b"',
      1, "output_dir must be a path string"),
     ("override-manifest-not-string", "train --config {r}/run.json --override data.manifest=5",
      1, "data manifest must be a path string"),

@@ -116,11 +116,18 @@ class TestLoadDataset:
         assert path.read_bytes() == b"new"
 
     def test_atomic_write_error_names_target(self, tmp_path):
-        target = tmp_path / "nodir" / "m.json"
+        (tmp_path / "afile").write_text("")
+        target = tmp_path / "afile" / "m.json"
         with pytest.raises(OSError) as info:
             dd.atomic_write(target, lambda fh: fh.write(b"x"))
-        assert str(info.value) == f"cannot write {target}: No such file or directory"
+        assert str(info.value).startswith(f"cannot write {target}: ")
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_atomic_write_creates_missing_directories(self, tmp_path):
+        target = tmp_path / "a" / "b" / "m.json"
+        assert dd.atomic_write_text(target, "{}\n") == target
+        assert target.read_text() == "{}\n"
+        assert [p.name for p in target.parent.iterdir()] == ["m.json"]
 
     def test_interrupted_save_leaves_no_manifest(self, tmp_path, monkeypatch):
         ds = dd.synth_generate(dd.SynthSpec(num_classes=2, per_class=2, m=3,

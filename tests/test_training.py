@@ -261,6 +261,33 @@ class TestFineTuneHead:
             npt.assert_array_equal(tuned.registry[name].values, values)
             assert tuned.registry[name].values.tobytes() == values.tobytes()
 
+    def test_input_model_unchanged(self):
+        model, ds = self.train_small()
+        before = {name: t.values.tobytes() for name, t in model.registry.items()}
+        tuned, _ = tr.fine_tune_head(model, ds, tr.TrainConfig(epochs=3, seed=9))
+        assert tuned.config.c == model.config.c
+        assert {name: t.values.tobytes() for name, t in model.registry.items()} == before
+        assert all(tuned.registry[name] is not t for name, t in model.registry.items())
+
+    def test_body_is_constant_over_input_arrays(self):
+        model, ds = self.train_small()
+        tuned, _ = tr.fine_tune_head(model, ds, tr.TrainConfig(epochs=1, seed=9))
+        for name, t in tuned.registry.items():
+            shared = np.shares_memory(t.values, model.registry[name].values)
+            if name.startswith("head."):
+                assert t.requires_grad and not shared
+            else:
+                assert not t.requires_grad and shared
+
+    def test_gradients_reach_the_head_only(self):
+        model, ds = self.train_small()
+        tuned, _ = tr.fine_tune_head(model, ds, tr.TrainConfig(epochs=1, seed=9))
+        samples = mm.samples_for(tuned, ds)[:4]
+        with ad.GradTape() as tape:
+            total, _ = mm.loss(tuned, samples, LossWeights())
+        grads = ad.backward(total, tape)
+        assert set(grads) == {tuned.registry["head.w"], tuned.registry["head.b"]}
+
     def test_head_reshaped_for_new_class_count(self):
         model, _ = self.train_small()
         target = small_dataset(classes=3, per_class=4, seed=21)
