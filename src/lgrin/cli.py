@@ -56,29 +56,18 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
     return doc
 
 
-def model_config_from_section(section) -> tuple[mm.ModelConfig, str]:
-    """The model section's ModelConfig, and the ``arch`` key kept beside it."""
-    if not isinstance(section, dict):
-        raise ConfigError("model section must be a JSON object")
-    fields = dict(section)
-    arch = fields.pop("arch", "lgrin")
-    if not isinstance(arch, str) or arch not in mm.BUILDERS:
-        raise ConfigError(f"unknown arch {arch!r}")
-    return config_from_json(mm.ModelConfig, fields, "model section"), arch
-
-
 def _data_source(section, base_dir: Path) -> Path | SynthSpec:
     """The data section, not yet loaded: a manifest path (relative ones are
     relative to the config file) or a synthetic spec."""
     check_keys(section, ("manifest", "synth"), "data section")
+    if len(section) != 1:
+        raise ConfigError("data section needs exactly one of 'manifest' or 'synth'")
     if "manifest" in section:
         if not isinstance(section["manifest"], str):
             raise ConfigError(f"data manifest must be a path string, "
                               f"got {section['manifest']!r}")
         return base_dir / section["manifest"]
-    if "synth" in section:
-        return config_from_json(SynthSpec, section["synth"], "synth section")
-    raise ConfigError("data section needs either 'manifest' or 'synth'")
+    return config_from_json(SynthSpec, section["synth"], "synth section")
 
 
 def _output_dir(value) -> Path:
@@ -87,19 +76,29 @@ def _output_dir(value) -> Path:
     return Path(value)
 
 
+def _output_file(value: str | Path, flag: str) -> Path:
+    """An output file path, its parent directory made now, so that a bad
+    location fails before the command computes anything."""
+    path = Path(value)
+    if not path.name:
+        raise ConfigError(f"{flag} needs a file name, got {str(value)!r}")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def load_run_config(path: str | Path, overrides: list[str]) -> tuple[dict, dict]:
     """Read a run config file, apply the overrides, then check it all once.
 
     Returns the document as overridden, which ``train`` echoes into its
-    report, and its sections built: "model" as (ModelConfig, arch), "train"
-    as a TrainConfig, "data" as a manifest Path or a SynthSpec, and
+    report, and its sections built: "model" as a ModelConfig, "train" as a
+    TrainConfig, "data" as a manifest Path or a SynthSpec, and
     "output_dir" as a Path.
     """
     path = Path(path)
     doc = parse_json(read_text(path, ConfigError, "config file"), ConfigError, str(path))
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must be a JSON object")
-    sections = {"model": model_config_from_section,
+    sections = {"model": lambda s: config_from_json(mm.ModelConfig, s, "model section"),
                 "train": lambda s: config_from_json(tr.TrainConfig, s, "train section"),
                 "data": lambda s: _data_source(s, path.parent),
                 "output_dir": _output_dir}
@@ -136,12 +135,12 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     doc, run = load_run_config(args.config, args.override)
-    config, arch = run["model"]
+    config = run["model"]
     cfg = _require(run, "train")
     ds = _dataset(_require(run, "data"))
     out_dir = _require(run, "output_dir")
     out_dir.mkdir(parents=True, exist_ok=True)  # fail on it before training
-    model, report = tr.train(mm.BUILDERS[arch](config), ds, cfg)
+    model, report = tr.train(mm.BUILDERS[config.arch](config), ds, cfg)
     ckpt = mm.save_checkpoint(model, out_dir / "checkpoint.npz")
     report_doc = {"report": report.to_dict(), "run_config": doc,
                   "parameter_count": mm.parameter_count(model)}
@@ -155,13 +154,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = mm.load_checkpoint(args.checkpoint)
+    out = _output_file(args.out, "--out") if args.out else None
     samples = mm.samples_for(model, load_dataset(args.data))
     metrics = tr.evaluate(model, samples)
     metrics["n_samples"] = len(samples)
     text = json.dumps(metrics, indent=2)
+    if out:
+        atomic_write_text(out, text + "\n")
     print(text)
-    if args.out:
-        atomic_write_text(args.out, text + "\n")
     return EXIT_OK
 
 
@@ -195,7 +195,7 @@ def _parse_grid(spec: str, axes: dict[str, list]) -> dict[str, list]:
 
 def cmd_ablate(args) -> int:
     _, run = load_run_config(args.config, args.override)
-    base, arch = run["model"]
+    base = run["model"]
     base_train = _require(run, "train")
     ds = _dataset(_require(run, "data"))
     axes = _parse_grid(args.grid, {
@@ -224,11 +224,10 @@ def cmd_ablate(args) -> int:
                                   loss_weights=LossWeights(*[float(x) for x in lam])),
               etas, lam)
              for adj_mode, pool_mode, etas, n_layers, lam in itertools.product(*axes.values())]
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)  # fail on it before training
+    out = _output_file(args.out, "--out")
     rows = []
     for config, cfg, etas, lam in cells:
-        model, _ = tr.train(mm.BUILDERS[arch](config), train_ds, cfg)
+        model, _ = tr.train(mm.BUILDERS[config.arch](config), train_ds, cfg)
         acc = tr.evaluate(model, mm.samples_for(model, test_ds))["unweighted_accuracy"]
         # one value per _ABLATE_COLUMNS entry, in that order
         rows.append((config.adjacency_mode, config.pooling_mode,
@@ -245,13 +244,12 @@ def cmd_gradcheck(args) -> int:
     for flag, value in (("--eps", args.eps), ("--threshold", args.threshold)):
         if not 0 < value < math.inf:
             raise ConfigError(f"{flag} must be a positive finite number, got {value}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     _, run = load_run_config(args.config, args.override)
-    config, arch = run["model"]
-    if arch != "lgrin":
-        raise ConfigError("gradcheck runs on the lgrin architecture")
     weights = run["train"].loss_weights if "train" in run else None
     errors, margin, attempt = tr.grad_check_random(
-        config, eps=args.eps, seed=args.seed, weights=weights)
+        run["model"], eps=args.eps, seed=args.seed, weights=weights)
     worst = max(errors.values())
     for name in sorted(errors):
         print(f"{name:28s} max_rel_err={errors[name]:.3e}")
@@ -279,8 +277,8 @@ def _pgm_text(values: np.ndarray, invert: bool) -> str:
 
 def cmd_inspect(args) -> int:
     model = mm.load_checkpoint(args.checkpoint)
-    prefix = Path(args.out_prefix) if args.out_prefix else \
-        Path(args.checkpoint).with_suffix("")
+    prefix = _output_file(args.out_prefix or Path(args.checkpoint).with_suffix(""),
+                          "--out-prefix")
     if args.what == "adjacency":
         a_eff = mm.shared_effective_adjacency(model)
         if a_eff is None:

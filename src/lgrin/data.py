@@ -243,6 +243,8 @@ class SynthSpec:
             raise ConfigError("synthetic spec needs per_class >= 1 and m >= 2")
         if self.noise < 0:
             raise ConfigError("noise must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def synth_generate(spec: SynthSpec) -> GraphDataset:

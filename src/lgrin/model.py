@@ -1,7 +1,7 @@
 """Model assembly, the forward pass, parameter accounting, and persistence.
 
-A model is its config, its architecture name, its constant graph (if
-any) and a registry: the one ordered name -> tensor map of every
+A model is its config (which names its architecture), its constant
+graph (if any) and a registry: the one ordered name -> tensor map of every
 parameter (raw adjacency, per-layer branch weights, pooling weights,
 linear head). The forward pass, the optimizer and checkpoints all read
 parameters from the registry, and nothing else holds them. Training
@@ -32,7 +32,8 @@ from . import layers as L
 from .autodiff import Tensor
 from .data import GraphDataset, SequenceSample, atomic_write, pad_or_truncate
 from .errors import (ConfigError, ContractError, DataError, ShapeError,
-                     check_int_fields, config_from_json, is_int, parse_json)
+                     check_int_fields, check_keys, config_from_json, is_int,
+                     parse_json)
 from .objective import LossWeights, graph_learning_loss
 
 ADJACENCY_MODES = ("learnable", "binary", "weighted")
@@ -53,9 +54,12 @@ class ModelConfig:
     pooling_mode: str = "learnable_full"
     mask_threshold: float = 0.0
     seed: int = 0
+    arch: str = "lgrin"  # a key of BUILDERS
 
     def __post_init__(self):
         check_int_fields(self)
+        if not isinstance(self.arch, str) or self.arch not in BUILDERS:
+            raise ConfigError(f"unknown arch {self.arch!r}")
         if self.m < 2 or self.p < 1 or self.c < 2:
             raise ConfigError(f"need m >= 2, p >= 1, c >= 2; "
                               f"got ({self.m}, {self.p}, {self.c})")
@@ -67,6 +71,8 @@ class ModelConfig:
             raise ConfigError(f"unknown pooling_mode {self.pooling_mode!r}")
         if self.mask_threshold < 0:
             raise ConfigError("mask_threshold must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         etas = self.etas
         if etas is None:
             etas = ((128, 64),) * self.inception_layers
@@ -97,7 +103,6 @@ class ModelConfig:
 @dataclass
 class LGrinModel:
     config: ModelConfig
-    arch: str  # "lgrin" | "baseline_gcn"
     graph: Tensor | None  # constant adjacency; None if learnable or per-sample
     registry: dict[str, Tensor]
 
@@ -110,6 +115,7 @@ def build_lgrin(config: ModelConfig) -> LGrinModel:
     1/M (so the untrained weighted readout coincides with mean pooling),
     and a learnable adjacency starts from Normal(0, 1) raw entries.
     """
+    config = dataclasses.replace(config, arch="lgrin")
     rng = np.random.default_rng(config.seed)
     reg: dict[str, Tensor] = {}
     graph = None  # weighted: built per sample from its features
@@ -124,7 +130,7 @@ def build_lgrin(config: ModelConfig) -> LGrinModel:
     if config.pooling_mode == "learnable_full":
         reg["pooling.p"] = ad.parameter(np.full(config.m, 1.0 / config.m))
     init_head(reg, config.head_input_width(), config.c, rng)
-    return LGrinModel(config, "lgrin", graph, reg)
+    return LGrinModel(config, graph, reg)
 
 
 def build_baseline_gcn(config: ModelConfig) -> LGrinModel:
@@ -134,13 +140,14 @@ def build_baseline_gcn(config: ModelConfig) -> LGrinModel:
     so the head input is 128. Neither the adjacency nor any pooling vector
     is learnable here.
     """
+    config = dataclasses.replace(config, arch="baseline_gcn")
     rng = np.random.default_rng(config.seed)
     a_hat = adjmod.renormalized_adjacency(adjmod.fixed_adjacency("binary", config.m))
     reg = {"gcn.w0": ad.parameter(L.xavier_uniform(rng, config.p, BASELINE_GCN_WIDTH)),
            "gcn.w1": ad.parameter(L.xavier_uniform(rng, BASELINE_GCN_WIDTH,
                                                    BASELINE_GCN_WIDTH))}
     init_head(reg, 2 * BASELINE_GCN_WIDTH, config.c, rng)
-    return LGrinModel(config, "baseline_gcn", a_hat, reg)
+    return LGrinModel(config, a_hat, reg)
 
 
 def init_head(reg: dict[str, Tensor], d_h: int, c: int,
@@ -214,7 +221,7 @@ def forward_shared(model: LGrinModel, samples: list[SequenceSample]
     h = _stacked_features(model, samples)
     reg = model.registry
     a_eff = shared_effective_adjacency(model)
-    if model.arch == "baseline_gcn":
+    if model.config.arch == "baseline_gcn":
         for key in ("gcn.w0", "gcn.w1"):
             h = L.gcn_layer(h, a_eff, reg[key])
         pooled = ad.concat_features([ad.readout(h, "max"), ad.readout(h, "mean")])
@@ -253,7 +260,7 @@ def loss(model: LGrinModel, samples: list[SequenceSample],
     a_eff, logits, _ = forward_shared(model, samples)
     total = ad.cross_entropy_logits(logits, [s.label for s in samples])
     p = model.registry.get("pooling.p")
-    if model.arch == "lgrin" and (a_eff is not None or p is not None):
+    if model.config.arch == "lgrin" and (a_eff is not None or p is not None):
         total = ad.add(total, graph_learning_loss(
             a_eff, adjmod.structure_matrix(model.config.m), p, weights))
     return total, logits
@@ -274,7 +281,7 @@ def salient_nodes(model: LGrinModel, samples: list[SequenceSample]) -> list[int]
     and returns the plurality winner, lowest index on ties. The embeddings
     come from the chunked forward-only passes.
     """
-    if model.arch == "lgrin" and model.config.pooling_mode == "mean":
+    if model.config.arch == "lgrin" and model.config.pooling_mode == "mean":
         raise ConfigError("salient nodes need a pooling mode with a max readout")
     return [argmax_plurality(h.values[:, b])
             for _, h in forward_chunks(model, samples) for b in range(h.shape[1])]
@@ -284,14 +291,14 @@ def parameter_count(model: LGrinModel) -> int:
     return sum(t.values.size for t in model.registry.values())
 
 
-def closed_form_parameter_count(config: ModelConfig, arch: str = "lgrin") -> int:
+def closed_form_parameter_count(config: ModelConfig) -> int:
     """Parameter count derived from the width laws, without building.
 
     Each convolution branch of width eta on input width F contributes
     F*eta + eta + eta^2 + eta; a learnable adjacency adds M^2, learnable
     pooling adds M, and the head adds D_h*C + C.
     """
-    if arch == "baseline_gcn":
+    if config.arch == "baseline_gcn":
         return (config.p * BASELINE_GCN_WIDTH
                 + BASELINE_GCN_WIDTH * BASELINE_GCN_WIDTH
                 + 2 * BASELINE_GCN_WIDTH * config.c + config.c)
@@ -317,14 +324,15 @@ def save_checkpoint(model: LGrinModel, path: str | Path) -> Path:
     """Write config + named parameters to a single .npz container.
 
     Layout: key "meta" holds a JSON string with format name, version,
-    architecture, and the model config; every parameter is stored as
-    float64 under "param/<registry name>". Loading reproduces forward
-    passes bit-exactly. The file is written atomically at exactly ``path``
+    architecture, and the rest of the model config; every parameter is
+    stored as float64 under "param/<registry name>". Loading reproduces
+    forward passes bit-exactly. The file is written atomically at exactly ``path``
     (no ``.npz`` suffix is appended).
     """
     path = Path(path)
+    config = dataclasses.asdict(model.config)
     meta = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
-            "arch": model.arch, "config": dataclasses.asdict(model.config)}
+            "arch": config.pop("arch"), "config": config}
     arrays = {"meta": np.array(json.dumps(meta)),
               **{f"param/{name}": t.values for name, t in model.registry.items()}}
     return atomic_write(path, lambda fh: np.savez(fh, **arrays))
@@ -356,11 +364,13 @@ def load_checkpoint(path: str | Path) -> LGrinModel:
         for key in ("arch", "config"):
             if key not in meta:
                 raise ConfigError(f"{path}: checkpoint meta has no {key!r}")
-        if not isinstance(meta["arch"], str) or meta["arch"] not in BUILDERS:
-            raise ConfigError(f"{path}: unknown arch {meta['arch']!r}")
-        config = config_from_json(ModelConfig, meta["config"],
-                                  f"checkpoint config in {path}")
-        model = BUILDERS[meta["arch"]](config)
+        # the stored config is a ModelConfig without its arch, kept beside it
+        where = f"checkpoint config in {path}"
+        check_keys(meta["config"], [f.name for f in dataclasses.fields(ModelConfig)
+                                    if f.name != "arch"], where)
+        config = config_from_json(ModelConfig, {**meta["config"], "arch": meta["arch"]},
+                                  where)
+        model = BUILDERS[config.arch](config)
         for name, tensor in model.registry.items():
             key = f"param/{name}"
             if key not in zf:

@@ -50,6 +50,8 @@ class TrainConfig:
             raise ConfigError(f"decay must be in (0, 1], got {self.decay}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.epsilon > 0):
             raise ConfigError("invalid Adam hyperparameters")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -225,8 +227,10 @@ def grad_check_random(config: mm.ModelConfig, eps: float = 1e-5, seed: int = 0,
     near-zero gradients are measured absolutely (finite differences
     resolve them to ~1e-9 at best). Returns (max guarded relative error
     per parameter group, kink margin, attempt index); deterministic per
-    starting seed.
+    starting seed. Only the lgrin architecture is checked.
     """
+    if config.arch != "lgrin":
+        raise ConfigError("gradcheck runs on the lgrin architecture")
     weights = weights if weights is not None else LossWeights()
     for attempt in range(GRAD_CHECK_TRIES):
         s = seed + attempt

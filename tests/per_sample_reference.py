@@ -101,7 +101,7 @@ def forward_one(model, features, a_eff, mask):
     """Logits (C,) for one (M, P) sample."""
     reg = model.registry
     h = ad.constant(features)
-    if model.arch == "baseline_gcn":
+    if model.config.arch == "baseline_gcn":
         for key in ("gcn.w0", "gcn.w1"):
             h = ad.relu(ad.matmul(ad.matmul(a_eff, h), reg[key]))
         pooled = concat([readout(h, "max"), readout(h, "mean")], 0)
@@ -127,7 +127,7 @@ def objective(model, samples, weights):
     """(total loss, per-sample logits) with the adjacency recorded once."""
     a_eff = mm.shared_effective_adjacency(model)
     mask = None
-    if model.arch == "lgrin" and a_eff is not None:
+    if model.config.arch == "lgrin" and a_eff is not None:
         mask = adjmod.neighbor_mask(a_eff, model.config.mask_threshold)
     logits = [forward_one(model, s.features, a_eff, mask) for s in samples]
     loss = cross_entropy(logits[0], samples[0].label)
@@ -136,7 +136,7 @@ def objective(model, samples, weights):
     # the graph term of the batched objective: none for the baseline, and
     # only the terms of a shared adjacency and of a learnable pooling vector
     p = model.registry.get("pooling.p")
-    if model.arch == "lgrin" and (a_eff is not None or p is not None):
+    if model.config.arch == "lgrin" and (a_eff is not None or p is not None):
         loss = ad.add(loss, graph_learning_loss(
             a_eff, adjmod.structure_matrix(model.config.m), p, weights))
     return loss, logits

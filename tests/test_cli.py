@@ -125,7 +125,7 @@ class TestTrain:
                    "--override", "model.arch=baseline_gcn",
                    "--override", f"output_dir={tmp_path / 'rb'}") == 0
         model = mm.load_checkpoint(tmp_path / "rb" / "checkpoint.npz")
-        assert model.arch == "baseline_gcn"
+        assert model.config.arch == "baseline_gcn"
 
     def test_output_dir_under_file_fails_before_training(self, tmp_path, run_config,
                                                          monkeypatch, capsys):
@@ -179,6 +179,32 @@ class TestEval:
                    str(dataset_dir / "manifest.json"), "--out", str(out)) == 2
         one_line_error(capsys, "No space left on device")
         assert list(out.parent.iterdir()) == []
+
+
+    def test_out_under_file_fails_before_evaluating(self, trained, dataset_dir, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.setattr(tr, "evaluate", lambda *args: pytest.fail("eval ran"))
+        ckpt, _ = trained
+        (tmp_path / "afile").write_text("")
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", str(ckpt), "--data",
+                   str(dataset_dir / "manifest.json"),
+                   "--out", str(tmp_path / "afile" / "m.json")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "afile" in captured.err
+
+    def test_failed_write_prints_nothing(self, trained, dataset_dir, tmp_path,
+                                         monkeypatch, capsys):
+        ckpt, _ = trained
+        fail_fsync(monkeypatch)
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", str(ckpt), "--data",
+                   str(dataset_dir / "manifest.json"),
+                   "--out", str(tmp_path / "metrics.json")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "No space left on device" in captured.err
 
 
 class TestAblate:
@@ -375,6 +401,17 @@ class TestInspect:
         if written:
             assert np.loadtxt(ckpt.parent / written[0], delimiter=",").shape == (8, 8)
 
+    def test_out_prefix_under_file_fails_before_any_forward_pass(
+            self, trained, dataset_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(mm, "salient_nodes", lambda *args: pytest.fail("forward ran"))
+        ckpt, _ = trained
+        (tmp_path / "afile").write_text("")
+        capsys.readouterr()
+        assert run("inspect", "--checkpoint", str(ckpt), "--what", "salient",
+                   "--data", str(dataset_dir / "manifest.json"),
+                   "--out-prefix", str(tmp_path / "afile" / "x")) == 2
+        one_line_error(capsys, "afile")
+
     def test_salient_requires_data(self, trained):
         ckpt, _ = trained
         assert run("inspect", "--checkpoint", str(ckpt),
@@ -454,6 +491,9 @@ def bad_inputs(tmp_path_factory):
     assert run("train", "--config", str(root / "run.json")) == 0
     (root / "weights5.json").write_text(json.dumps(
         {**doc, "train": {**doc["train"], "loss_weights": 5}}))
+    (root / "synth_seed.json").write_text(json.dumps(
+        {**doc, "data": {"synth": {"num_classes": 3, "per_class": 2, "m": 8, "p": 4,
+                                   "seed": -3}}}))
     (root / "no_m.json").write_text(json.dumps(
         {**doc, "model": {k: v for k, v in doc["model"].items() if k != "m"}}))
     for name, classes, p in [("p5", 3, 5), ("c4", 4, 4)]:
@@ -475,6 +515,7 @@ def bad_inputs(tmp_path_factory):
             ("no_config", "meta", without["config"]),
             ("config_key", "meta", {**meta, "config": {**meta["config"], "frobnicate": 1}}),
             ("arch_list", "meta", {**meta, "arch": ["lgrin"]}),
+            ("config_arch", "meta", {**meta, "config": {**meta["config"], "arch": "lgrin"}}),
             ("etas_float", "meta", {**meta, "config": {**meta["config"], "etas": [[8.5, 4]]}}),
             ("meta_text", "meta", np.array("{not json")),
             ("meta_object", "meta", np.array([None])),
@@ -578,6 +619,7 @@ ERROR_TABLE = [
           ("no-config", "no_config", "checkpoint meta has no 'config'"),
           ("unknown-config-key", "config_key", "bad checkpoint config"),
           ("arch-not-string", "arch_list", "unknown arch ['lgrin']"),
+          ("config-holds-arch", "config_arch", "unknown keys ['arch']"),
           ("etas-not-integers", "etas_float", "etas must be pairs of integers"),
           ("meta-text", "meta_text", "checkpoint meta: invalid JSON"),
           ("meta-object", "meta_object", "checkpoint meta cannot be read"),
@@ -662,6 +704,28 @@ ERROR_TABLE = [
      1, "--eps must be a positive finite number, got -1.0"),
     ("gradcheck-threshold-nan", "gradcheck --config {r}/run.json --threshold nan",
      1, "--threshold must be a positive finite number, got nan"),
+    # a seed is a non-negative integer wherever it is given
+    ("override-model-seed-negative", "train --config {r}/run.json --override model.seed=-1",
+     1, "bad model section: seed must be non-negative, got -1"),
+    ("override-train-seed-negative", "train --config {r}/run.json --override train.seed=-1",
+     1, "bad train section: seed must be non-negative, got -1"),
+    ("synth-seed-negative-in-config", "train --config {r}/synth_seed.json",
+     1, "bad synth section: seed must be non-negative, got -3"),
+    ("synth-seed-negative", "synth --classes 3 --per-class 2 --m 8 --p 4 --seed -1 "
+     "--out {r}/negative", 1, "seed must be non-negative, got -1"),
+    ("gradcheck-seed-negative", "gradcheck --config {r}/run.json --seed -1",
+     1, "--seed must be non-negative, got -1"),
+    # an output path needs a file name, and is checked before anything is computed
+    ("inspect-out-prefix-dot", "inspect --checkpoint {r}/run/checkpoint.npz --what salient "
+     "--data {r}/ds/manifest.json --out-prefix .", 1, "--out-prefix needs a file name, got '.'"),
+    ("inspect-out-prefix-root", "inspect --checkpoint {r}/run/checkpoint.npz --what adjacency "
+     "--out-prefix /", 1, "--out-prefix needs a file name, got '/'"),
+    ("eval-out-dot", EVAL + " {r}/ds/manifest.json --out .", 1, "--out needs a file name"),
+    ("ablate-out-dot", "ablate --config {r}/run.json --grid {{}} --holdout-folds 4 --out .",
+     1, "--out needs a file name"),
+    ("data-manifest-and-synth", "train --config {r}/run.json --override "
+     'data.synth={{"num_classes":3,"per_class":2,"m":8,"p":4}} --override output_dir={r}/both',
+     1, "data section needs exactly one of 'manifest' or 'synth'"),
 ]
 
 

@@ -70,6 +70,12 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             mm.ModelConfig(m=6, p=5, c=3, adjacency_mode="magic")
 
+    def test_arch_defaults_to_lgrin(self):
+        assert small_config().arch == "lgrin"
+        for arch in ("transformer", ["lgrin"]):
+            with pytest.raises(ConfigError, match=r"unknown arch "):
+                small_config(arch=arch)
+
     def test_dict_roundtrip(self):
         cfg = small_config(adjacency_mode="binary", pooling_mode="max")
         doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
@@ -193,6 +199,11 @@ class TestParameterCount:
         assert (mm.parameter_count(learnable) - mm.parameter_count(binary)
                 == 6 * 6)
 
+    @pytest.mark.parametrize("arch", sorted(mm.BUILDERS))
+    def test_closed_form_matches_built_model(self, arch):
+        model = mm.BUILDERS[arch](small_config())
+        assert mm.parameter_count(model) == mm.closed_form_parameter_count(model.config)
+
     def test_pooling_mode_difference(self):
         cfg_full = small_config(pooling_mode="learnable_full")
         cfg_max = small_config(pooling_mode="max")
@@ -301,7 +312,11 @@ class TestBaselineGcn:
         cfg = small_config()
         model = mm.build_baseline_gcn(cfg)
         assert (mm.parameter_count(model)
-                == mm.closed_form_parameter_count(cfg, arch="baseline_gcn"))
+                == mm.closed_form_parameter_count(model.config))
+
+    def test_each_builder_sets_its_own_arch(self):
+        assert mm.build_baseline_gcn(small_config()).config.arch == "baseline_gcn"
+        assert mm.build_lgrin(small_config(arch="baseline_gcn")).config.arch == "lgrin"
 
 
 class TestCheckpoint:
@@ -313,8 +328,18 @@ class TestCheckpoint:
             path = mm.save_checkpoint(model, tmp_path / "model.npz")
             again = mm.load_checkpoint(path)
             npt.assert_array_equal(logits(again, s), before)
-            assert again.arch == model.arch
+            assert again.config.arch == model.config.arch
             assert again.config == model.config
+
+    def test_meta_keeps_arch_beside_config(self, tmp_path):
+        path = mm.save_checkpoint(mm.build_baseline_gcn(small_config()),
+                                  tmp_path / "model.npz")
+        with np.load(path) as zf:
+            meta = json.loads(str(zf["meta"]))
+        assert list(meta) == ["format", "version", "arch", "config"]
+        assert meta["arch"] == "baseline_gcn"
+        assert list(meta["config"]) == [f.name for f in dataclasses.fields(mm.ModelConfig)
+                                        if f.name != "arch"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

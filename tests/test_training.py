@@ -236,6 +236,12 @@ class TestGradCheck:
         errors, _, _ = tr.grad_check_random(cfg, seed=0)
         assert errors["head.w"] > 1e-4
 
+    def test_baseline_gcn_config_rejected(self):
+        cfg = mm.ModelConfig(m=6, p=5, c=3, inception_layers=1, etas=[(8, 4)],
+                             arch="baseline_gcn")
+        with pytest.raises(ConfigError, match="gradcheck runs on the lgrin architecture"):
+            tr.grad_check_random(cfg)
+
     def test_deterministic_per_seed(self):
         cfg = mm.ModelConfig(m=6, p=5, c=3, inception_layers=1, etas=[(8, 4)],
                              seed=1)
