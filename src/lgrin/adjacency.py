@@ -17,17 +17,32 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, LgrinError
+from .errors import ConfigError, ContractError, LgrinError, ShapeError
 
 
 def effective_adjacency(raw: Tensor) -> Tensor:
-    """ReLU of the symmetrized raw parameter, recorded on the active tape.
+    """ReLU of the symmetrized raw parameter, ``relu((raw + raw.T) / 2)``,
+    as one tape node.
 
     Symmetry is enforced by averaging raw with its transpose before
-    rectifying, so the result is symmetric and non-negative for any raw
-    matrix while staying differentiable almost everywhere.
+    rectifying, so the result is symmetric and non-negative for any square
+    raw matrix while staying differentiable almost everywhere. On a
+    kink-tracking tape the smallest ``|(raw + raw.T) / 2|`` is recorded as
+    the ReLU margin. The backward gives raw ``g05 + g05.T``, where ``g05``
+    is half the upstream gradient at the entries that stayed positive.
     """
-    return ad.relu(ad.scale(ad.add(raw, ad.transpose(raw)), 0.5))
+    rv = raw.values
+    if rv.ndim != 2 or rv.shape[0] != rv.shape[1]:
+        raise ShapeError(f"raw adjacency must be square, got shape {rv.shape}")
+    pre = (rv + rv.T) * 0.5
+    ad._track_relu_margin(pre)
+    pos = pre > 0.0
+
+    def back(g: np.ndarray):
+        g05 = (g * pos) * 0.5
+        return (g05 + g05.T,)
+
+    return ad._emit((raw,), np.where(pos, pre, 0.0), back)
 
 
 def fixed_adjacency(kind: str, m: int, features: Tensor | None = None) -> Tensor:

@@ -14,10 +14,13 @@ out (M, B, F): nodes on axis 0, one minibatch of samples on axis 1, and
 features on the last axis, so one forward graph serves a whole minibatch.
 The graph ops (propagation, neighborhood max, readouts) act on axis 0 and
 the dense ops (``relu_affine``, ``concat_features``) on the last axis, so a
-single (M, F) sample goes through the same ops. Apart from
-matrix-plus-row-vector addition there is no broadcasting, and there are no
-higher-order derivatives. All values are float64 so that gradients can be checked
-against central finite differences at tight tolerances.
+single (M, F) sample goes through the same ops. The two closed-form
+stages on the (M, M) adjacency, its symmetrize-and-rectify transform and
+the graph-learning loss, are one op each in ``adjacency`` and
+``objective``, recorded through ``_emit``. There is no broadcasting, and
+there are no higher-order derivatives. All values are float64 so that
+gradients can be checked against central finite differences at tight
+tolerances.
 """
 
 from __future__ import annotations
@@ -172,19 +175,6 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
 # operations
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes do not chain: {a.shape} x {b.shape}")
-    av, bv = a.values, b.values
-    out = av @ bv
-
-    def back(g: np.ndarray):
-        return g @ bv.T, av.T @ g
-
-    return _emit((a, b), out, back)
-
-
 def propagate(a: Tensor, h: Tensor) -> Tensor:
     """Graph propagation ``A @ H`` over the node axis (axis 0) of ``h``.
 
@@ -220,49 +210,16 @@ def propagate(a: Tensor, h: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts matrix + row vector (bias) operands."""
-    av, bv = a.values, b.values
-    if av.shape == bv.shape:
-        def back(g: np.ndarray):
-            return g, g
-    elif av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
-        def back(g: np.ndarray):
-            return g, g.sum(axis=0)
-    else:
-        raise ShapeError(f"add shapes incompatible: {av.shape} + {bv.shape}")
-    return _emit((a, b), av + bv, back)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shaped tensors."""
+    """Elementwise sum of same-shaped tensors; both operands receive the
+    upstream array itself."""
     av, bv = a.values, b.values
     if av.shape != bv.shape:
-        raise ShapeError(f"mul shapes differ: {av.shape} * {bv.shape}")
+        raise ShapeError(f"add shapes differ: {av.shape} + {bv.shape}")
 
     def back(g: np.ndarray):
-        return g * bv, g * av
+        return g, g
 
-    return _emit((a, b), av * bv, back)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    s = float(s)
-
-    def back(g: np.ndarray):
-        return (g * s,)
-
-    return _emit((a,), a.values * s, back)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got shape {a.shape}")
-
-    def back(g: np.ndarray):
-        return (g.T,)
-
-    return _emit((a,), a.values.T.copy(), back)
+    return _emit((a, b), av + bv, back)
 
 
 def _track_relu_margin(pre: np.ndarray) -> None:
@@ -272,19 +229,8 @@ def _track_relu_margin(pre: np.ndarray) -> None:
         tracker.relu_margin = min(tracker.relu_margin, float(np.min(np.abs(pre))))
 
 
-def relu(x: Tensor) -> Tensor:
-    """Elementwise max(x, 0); subgradient at exactly 0 is 0."""
-    xv = x.values
-    _track_relu_margin(xv)
-    pos = xv > 0.0
-
-    def back(g: np.ndarray):
-        return (g * pos,)
-
-    return _emit((x,), np.where(pos, xv, 0.0), back)
-
-
-def relu_affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def relu_affine(x: Tensor, w: Tensor, b: Tensor | None = None,
+                relu: bool = True) -> Tensor:
     """``ReLU(x @ w + b)`` over the last axis of ``x``, as one tape node.
 
     ``x`` is (..., F) and ``w`` is (F, N); every leading row goes through
@@ -292,7 +238,9 @@ def relu_affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     in place, and the backward takes ``out > 0`` as the ReLU mask, which
     selects the same cells as ``x @ w + b > 0`` (NaN and 0 both rectify to
     0 and route no gradient). On a kink-tracking tape the smallest
-    ``|x @ w + b|`` is recorded, as ``relu`` does. ``b`` is optional.
+    ``|x @ w + b|`` is recorded as the ReLU margin. ``b`` is optional.
+    With ``relu=False`` the op is the affine map ``x @ w + b`` alone (the
+    model's linear head): nothing is clamped and no margin is recorded.
     """
     xv, wv = x.values, w.values
     if xv.ndim < 1 or wv.ndim != 2 or wv.shape[0] != xv.shape[-1]:
@@ -304,28 +252,21 @@ def relu_affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     out = x2 @ wv
     if b is not None:
         out += b.values
-    _track_relu_margin(out)
-    np.fmax(out, 0.0, out=out)  # NaN -> 0.0, as in relu
-    out += 0.0  # -0.0 -> 0.0
+    if relu:
+        _track_relu_margin(out)
+        np.fmax(out, 0.0, out=out)  # NaN -> 0.0
+        out += 0.0  # -0.0 -> 0.0
 
     def back(g: np.ndarray):
-        gz = g.reshape(-1, n) * (out > 0.0)
+        gz = g.reshape(-1, n)
+        if relu:
+            gz = gz * (out > 0.0)
         gx = (gz @ wv.T).reshape(xv.shape) if x.requires_grad else None
         grads = (gx, x2.T @ gz)
         return grads if b is None else grads + (gz.sum(axis=0),)
 
     inputs = (x, w) if b is None else (x, w, b)
     return _emit(inputs, out.reshape(xv.shape[:-1] + (n,)), back)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of all entries, as a 0-d scalar tensor."""
-    shape = x.values.shape
-
-    def back(g: np.ndarray):
-        return (np.full(shape, float(g)),)
-
-    return _emit((x,), np.asarray(x.values.sum()), back)
 
 
 def concat_features(parts: Sequence[Tensor]) -> Tensor:

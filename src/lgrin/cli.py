@@ -76,12 +76,16 @@ def _output_dir(value) -> Path:
     return Path(value)
 
 
-def _output_file(value: str | Path, flag: str) -> Path:
-    """An output file path, its parent directory made now, so that a bad
-    location fails before the command computes anything."""
+def _output_file(value: str | Path, flag: str, suffix: str = "") -> Path:
+    """The output file ``value`` + ``suffix``, its parent directory made now,
+    so that a bad location fails before the command computes anything.
+    ``value`` needs a file name, and the file must not be a directory."""
     path = Path(value)
     if not path.name:
         raise ConfigError(f"{flag} needs a file name, got {str(value)!r}")
+    path = path.with_name(path.name + suffix)
+    if path.is_dir():
+        raise IsADirectoryError(f"{flag}: {path} is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -153,8 +157,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = mm.load_checkpoint(args.checkpoint)
     out = _output_file(args.out, "--out") if args.out else None
+    model = mm.load_checkpoint(args.checkpoint)
     samples = mm.samples_for(model, load_dataset(args.data))
     metrics = tr.evaluate(model, samples)
     metrics["n_samples"] = len(samples)
@@ -194,6 +198,7 @@ def _parse_grid(spec: str, axes: dict[str, list]) -> dict[str, list]:
 
 
 def cmd_ablate(args) -> int:
+    out = _output_file(args.out, "--out")
     _, run = load_run_config(args.config, args.override)
     base = run["model"]
     base_train = _require(run, "train")
@@ -224,7 +229,6 @@ def cmd_ablate(args) -> int:
                                   loss_weights=LossWeights(*[float(x) for x in lam])),
               etas, lam)
              for adj_mode, pool_mode, etas, n_layers, lam in itertools.product(*axes.values())]
-    out = _output_file(args.out, "--out")
     rows = []
     for config, cfg, etas, lam in cells:
         model, _ = tr.train(mm.BUILDERS[config.arch](config), train_ds, cfg)
@@ -276,9 +280,11 @@ def _pgm_text(values: np.ndarray, invert: bool) -> str:
 
 
 def cmd_inspect(args) -> int:
+    prefix = args.out_prefix or Path(args.checkpoint).with_suffix("")
+    suffixes = (("_adjacency.csv", "_adjacency.pgm") if args.what == "adjacency"
+                else ("_salient.csv",))
+    paths = [_output_file(prefix, "--out-prefix", suffix) for suffix in suffixes]
     model = mm.load_checkpoint(args.checkpoint)
-    prefix = _output_file(args.out_prefix or Path(args.checkpoint).with_suffix(""),
-                          "--out-prefix")
     if args.what == "adjacency":
         a_eff = mm.shared_effective_adjacency(model)
         if a_eff is None:
@@ -287,8 +293,8 @@ def cmd_inspect(args) -> int:
         values = a_eff.values
         csv_text = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in values)
         pgm_text = _pgm_text(values, invert=args.invert)
-        for suffix, text in (("_adjacency.csv", csv_text), ("_adjacency.pgm", pgm_text)):
-            print(f"wrote {atomic_write_text(prefix.with_name(prefix.name + suffix), text)}")
+        for path, text in zip(paths, (csv_text, pgm_text)):
+            print(f"wrote {atomic_write_text(path, text)}")
         return EXIT_OK
     # salient node per sample
     if not args.data:
@@ -296,7 +302,7 @@ def cmd_inspect(args) -> int:
     samples = mm.samples_for(model, load_dataset(args.data))
     nodes = mm.salient_nodes(model, samples)
     text = "id,salient_node\n" + "".join(f"{s.id},{k}\n" for s, k in zip(samples, nodes))
-    print(f"wrote {atomic_write_text(prefix.with_name(prefix.name + '_salient.csv'), text)}")
+    print(f"wrote {atomic_write_text(paths[0], text)}")
     return EXIT_OK
 
 

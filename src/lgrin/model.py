@@ -233,7 +233,7 @@ def forward_shared(model: LGrinModel, samples: list[SequenceSample]
             branches = [tuple(reg[key] for key in _branch_keys(k, b)) for b in (1, 2)]
             h = L.inception_layer(h, a, *branches, mask)
         pooled = L.pooling_layer(h, reg.get("pooling.p"), model.config.pooling_mode)
-    return a_eff, ad.add(ad.matmul(pooled, reg["head.w"]), reg["head.b"]), h
+    return a_eff, ad.relu_affine(pooled, reg["head.w"], reg["head.b"], relu=False), h
 
 
 def forward_chunks(model: LGrinModel, samples: list[SequenceSample]):

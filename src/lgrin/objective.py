@@ -10,13 +10,14 @@ and an L2 penalty on the pooling weights.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError, check_int_fields
+from .errors import ConfigError, ContractError, ShapeError, check_int_fields
 
 
 @dataclass(frozen=True)
@@ -33,21 +34,42 @@ class LossWeights:
 
 def graph_learning_loss(a_eff: Tensor | None, a_d: np.ndarray,
                         p: Tensor | None, w: LossWeights) -> Tensor:
-    """lambda1 * sum(A_d o A) + lambda2 * ||A||_F^2 + lambda3 * ||p||_2^2.
+    """lambda1 * sum(A_d o A) + lambda2 * ||A||_F^2 + lambda3 * ||p||_2^2,
+    as one tape node.
 
     A None adjacency or pooling vector leaves its terms out; at least one
-    of the two must be given.
+    of the two must be given. The terms are added left to right, and the
+    backward gives ``A`` the closed form ``2 * lambda2 * A + lambda1 * A_d``
+    and ``p`` the closed form ``2 * lambda3 * p``, each doubled term formed
+    as a sum of two equal halves.
     """
     m = a_d.shape[0]
+    if a_eff is None and p is None:
+        raise ContractError("graph learning loss needs an adjacency or a pooling vector")
     if a_eff is not None and a_eff.shape != (m, m):
         raise ShapeError(f"adjacency {a_eff.shape} vs structure {a_d.shape}")
     if p is not None and p.shape != (m,):
         raise ShapeError(f"pooling vector {p.shape} does not match M={m}")
-    sums = []
+    lam1, lam2, lam3 = map(float, (w.lambda1, w.lambda2, w.lambda3))
+    inputs, terms = [], []
     if a_eff is not None:
-        sums.append((ad.sum_all(ad.mul(ad.constant(a_d), a_eff)), w.lambda1))
-        sums.append((ad.sum_all(ad.mul(a_eff, a_eff)), w.lambda2))
+        av = a_eff.values
+        inputs.append(a_eff)
+        terms += [(a_d * av).sum() * lam1, (av * av).sum() * lam2]
     if p is not None:
-        sums.append((ad.sum_all(ad.mul(p, p)), w.lambda3))
-    return functools.reduce(ad.add, [ad.scale(total, lam) for total, lam in sums])
+        pv = p.values
+        inputs.append(p)
+        terms.append((pv * pv).sum() * lam3)
 
+    def back(g: np.ndarray):
+        g = float(g)
+        grads = []
+        if a_eff is not None:
+            half = (g * lam2) * av
+            grads.append((half + half) + (g * lam1) * a_d)
+        if p is not None:
+            half = (g * lam3) * pv
+            grads.append(half + half)
+        return grads
+
+    return ad._emit(tuple(inputs), np.asarray(functools.reduce(operator.add, terms)), back)

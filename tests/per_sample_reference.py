@@ -4,11 +4,11 @@ minibatches became a single (M, B, F) tape.
 Each sample is its own (M, F) graph. Every inception branch propagates
 ``A_eff @ H`` itself, a branch layer is separate matmul, add and relu
 nodes, the graph vector is a 1-D vector concatenated from its readouts,
-the head is a vector-matrix product, and the batch loss is a left fold of
-per-sample cross entropies. The ops whose batched versions replaced them
-are copied here; the unchanged ones (matmul, add, relu, and the graph
-loss) come from the package. ``objective`` records on the active tape, so
-its gradients can be compared with the batched objective's.
+the head is a vector-matrix product plus a bias, and the batch loss is a
+left fold of per-sample cross entropies. The ops whose batched or fused
+versions replaced them are copied here; the adjacency transform and the
+graph loss come from the package. ``objective`` records on the active
+tape, so its gradients can be compared with the batched objective's.
 """
 
 import math
@@ -20,6 +20,24 @@ from lgrin import autodiff as ad
 from lgrin import layers as L
 from lgrin import model as mm
 from lgrin.objective import graph_learning_loss
+
+
+def matmul(a, b):
+    av, bv = a.values, b.values
+    return ad._emit((a, b), av @ bv, lambda g: (g @ bv.T, av.T @ g))
+
+
+def add(a, b):
+    """Same-shaped operands, or a matrix plus a row vector (a bias)."""
+    av, bv = a.values, b.values
+    if av.shape == bv.shape:
+        return ad._emit((a, b), av + bv, lambda g: (g, g))
+    return ad._emit((a, b), av + bv, lambda g: (g, g.sum(axis=0)))
+
+
+def relu(x):
+    pos = x.values > 0.0
+    return ad._emit((x,), np.where(pos, x.values, 0.0), lambda g: (g * pos,))
 
 
 def vecmat(v, m):
@@ -93,8 +111,8 @@ def cross_entropy(logits, label):
 
 def gstar_conv(h, a_eff, branch):
     w1, b1, w2, b2 = branch
-    hidden = ad.relu(ad.add(ad.matmul(ad.matmul(a_eff, h), w1), b1))
-    return ad.relu(ad.add(ad.matmul(hidden, w2), b2))
+    hidden = relu(add(matmul(matmul(a_eff, h), w1), b1))
+    return relu(add(matmul(hidden, w2), b2))
 
 
 def forward_one(model, features, a_eff, mask):
@@ -103,7 +121,7 @@ def forward_one(model, features, a_eff, mask):
     h = ad.constant(features)
     if model.config.arch == "baseline_gcn":
         for key in ("gcn.w0", "gcn.w1"):
-            h = ad.relu(ad.matmul(ad.matmul(a_eff, h), reg[key]))
+            h = relu(matmul(matmul(a_eff, h), reg[key]))
         pooled = concat([readout(h, "max"), readout(h, "mean")], 0)
     else:
         if a_eff is None:  # weighted adjacency is a function of this sample
@@ -120,7 +138,7 @@ def forward_one(model, features, a_eff, mask):
                              readout(h, "mean")], 0)
         else:
             pooled = readout(h, mode)
-    return ad.add(vecmat(pooled, reg["head.w"]), reg["head.b"])
+    return add(vecmat(pooled, reg["head.w"]), reg["head.b"])
 
 
 def objective(model, samples, weights):

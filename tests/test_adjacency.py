@@ -8,8 +8,9 @@ import pytest
 
 from lgrin import adjacency as adj
 from lgrin import autodiff as ad
-from lgrin.errors import ConfigError, ContractError
+from lgrin.errors import ConfigError, ContractError, ShapeError
 from lgrin.model import ModelConfig, build_lgrin
+from upstream import dot
 
 
 def learnable_raw(m, seed):
@@ -56,10 +57,22 @@ class TestEffectiveAdjacency:
             npt.assert_array_equal(eff, eff.T)
             assert eff.min() >= 0.0
 
+    def test_subgradient_at_zero_is_zero(self):
+        raw = ad.parameter([[0.0, 1.0], [-1.0, 2.0]])
+        with ad.GradTape() as tape:
+            loss = dot(adj.effective_adjacency(raw), [[3.0, 5.0], [7.0, 11.0]])
+        grads = ad.backward(loss, tape)
+        # sym = [[0, 0], [0, 2]]: only (1, 1) is positive
+        npt.assert_array_equal(grads[raw], [[0.0, 0.0], [0.0, 11.0]])
+
+    def test_non_square_raw_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\)"):
+            adj.effective_adjacency(ad.parameter(np.zeros((2, 3))))
+
     def test_gradient_reaches_raw(self):
         raw = ad.parameter([[1.0, -3.0], [2.0, 0.5]])
         with ad.GradTape() as tape:
-            loss = ad.sum_all(adj.effective_adjacency(raw))
+            loss = dot(adj.effective_adjacency(raw), np.ones((2, 2)))
         grads = ad.backward(loss, tape)
         # sym = [[1, -0.5], [-0.5, 0.5]]; only (0,0) and (1,1) survive relu
         npt.assert_allclose(grads[raw], [[1.0, 0.0], [0.0, 1.0]])

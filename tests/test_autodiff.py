@@ -8,7 +8,9 @@ import pytest
 
 from lgrin import autodiff as ad
 from lgrin.errors import ContractError, ShapeError
+from lgrin.objective import LossWeights, graph_learning_loss
 from lgrin.training import registry_grads
+from upstream import dot
 
 
 def grad_of(build, params):
@@ -16,55 +18,6 @@ def grad_of(build, params):
     with ad.GradTape() as tape:
         loss = build()
     return loss, ad.backward(loss, tape)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = ad.constant(np.eye(2))
-        b = ad.constant([[3.0, 1.0], [2.0, 4.0]])
-        npt.assert_array_equal(ad.matmul(a, b).values, [[3, 1], [2, 4]])
-
-    def test_hand_product(self):
-        a = ad.constant([[1.0, 2.0], [3.0, 4.0]])
-        b = ad.constant([[5.0], [6.0]])
-        npt.assert_array_equal(ad.matmul(a, b).values, [[17.0], [39.0]])
-
-    def test_zeros(self):
-        out = ad.matmul(ad.constant(np.zeros((2, 3))),
-                        ad.constant(np.arange(6.0).reshape(3, 2)))
-        npt.assert_array_equal(out.values, np.zeros((2, 2)))
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            ad.matmul(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 2))))
-
-    def test_gradients(self):
-        a = ad.parameter([[1.0, 2.0], [3.0, 4.0]])
-        b = ad.parameter([[5.0], [6.0]])
-        _, grads = grad_of(lambda: ad.sum_all(ad.matmul(a, b)), [a, b])
-        npt.assert_array_equal(grads[a], [[5.0, 6.0], [5.0, 6.0]])
-        npt.assert_array_equal(grads[b], [[4.0], [6.0]])
-
-
-class TestRelu:
-    def test_sign_cases(self):
-        npt.assert_array_equal(ad.relu(ad.constant([-1.0, 0.0, 2.0])).values,
-                               [0.0, 0.0, 2.0])
-
-    def test_gradient_flat_region(self):
-        x = ad.parameter([-1.0])
-        _, grads = grad_of(lambda: ad.sum_all(ad.relu(x)), [x])
-        npt.assert_array_equal(grads[x], [0.0])
-
-    def test_gradient_linear_region_with_upstream(self):
-        x = ad.parameter([3.0])
-        _, grads = grad_of(lambda: ad.sum_all(ad.scale(ad.relu(x), 2.0)), [x])
-        npt.assert_array_equal(grads[x], [2.0])
-
-    def test_subgradient_at_zero_is_zero(self):
-        x = ad.parameter([0.0])
-        _, grads = grad_of(lambda: ad.sum_all(ad.relu(x)), [x])
-        npt.assert_array_equal(grads[x], [0.0])
 
 
 class TestConcat:
@@ -88,10 +41,9 @@ class TestConcat:
     def test_gradient_splits_upstream(self):
         a = ad.parameter(np.ones((2, 2)))
         b = ad.parameter(np.ones((2, 3)))
-        weights = ad.constant(np.arange(10.0).reshape(2, 5))
+        weights = np.arange(10.0).reshape(2, 5)
         _, grads = grad_of(
-            lambda: ad.sum_all(ad.mul(ad.concat_features([a, b]), weights)),
-            [a, b])
+            lambda: dot(ad.concat_features([a, b]), weights), [a, b])
         npt.assert_array_equal(grads[a], [[0, 1], [5, 6]])
         npt.assert_array_equal(grads[b], [[2, 3, 4], [7, 8, 9]])
 
@@ -133,7 +85,7 @@ class TestNeighborhoodMax:
     def test_gradient_first_index_on_ties(self):
         h = ad.parameter([[2.0], [2.0], [1.0]])
         _, grads = grad_of(
-            lambda: ad.sum_all(ad.neighborhood_max(h, np.ones((3, 3), bool))),
+            lambda: dot(ad.neighborhood_max(h, np.ones((3, 3), bool)), np.ones((3, 1))),
             [h])
         # all three rows see the tie between rows 0 and 1; row 0 wins
         npt.assert_array_equal(grads[h], [[3.0], [0.0], [0.0]])
@@ -153,8 +105,7 @@ class TestNeighborhoodMax:
 
         ht = ad.parameter(h)
         _, grads = grad_of(
-            lambda: ad.sum_all(ad.mul(ad.neighborhood_max(ht, mask),
-                                      ad.constant(weights))), [ht])
+            lambda: dot(ad.neighborhood_max(ht, mask), weights), [ht])
         fd = ad.finite_difference(loss_value, h.copy())
         npt.assert_allclose(grads[ht], fd, rtol=1e-6, atol=1e-9)
 
@@ -214,7 +165,7 @@ class TestWeightedReadout:
     def test_gradients_both_sides(self):
         h = ad.parameter([[1.0, 2.0], [3.0, 4.0]])
         p = ad.parameter([2.0, -1.0])
-        _, grads = grad_of(lambda: ad.sum_all(ad.weighted_readout(h, p)), [h, p])
+        _, grads = grad_of(lambda: dot(ad.weighted_readout(h, p), np.ones(2)), [h, p])
         npt.assert_array_equal(grads[h], [[2.0, 2.0], [-1.0, -1.0]])
         npt.assert_array_equal(grads[p], [3.0, 7.0])
 
@@ -254,22 +205,24 @@ class TestCrossEntropy:
 class TestBackward:
     def test_sum_gives_ones(self):
         w = ad.parameter(np.arange(6.0).reshape(2, 3))
-        _, grads = grad_of(lambda: ad.sum_all(w), [w])
+        _, grads = grad_of(lambda: dot(w, np.ones((2, 3))), [w])
         npt.assert_array_equal(grads[w], np.ones((2, 3)))
 
     def test_frobenius_square_gives_2w(self):
         rng = np.random.default_rng(5)
         wv = rng.normal(size=(3, 3))
         w = ad.parameter(wv)
-        _, grads = grad_of(lambda: ad.sum_all(ad.mul(w, w)), [w])
+        frobenius = LossWeights(lambda1=0.0, lambda2=1.0, lambda3=0.0)
+        _, grads = grad_of(
+            lambda: graph_learning_loss(w, np.zeros((3, 3)), None, frobenius), [w])
         npt.assert_allclose(grads[w], 2.0 * wv, rtol=1e-15)
 
     def test_off_path_parameter_gets_zeros(self):
         used = ad.parameter(np.ones(3))
         unused = ad.parameter(np.ones(2))
         with ad.GradTape() as tape:
-            ad.sum_all(unused)  # on the tape, but off the loss's path
-            loss = ad.sum_all(used)
+            dot(unused, np.ones(2))  # on the tape, but off the loss's path
+            loss = dot(used, np.ones(3))
         grads = ad.backward(loss, tape)
         assert list(grads) == [used]
         # the optimizer's view: every registry entry, zeros where unreached
@@ -280,29 +233,33 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         w = ad.parameter(np.ones(3))
         with ad.GradTape() as tape:
-            out = ad.relu(w)
+            out = ad.add(w, w)
         with pytest.raises(ContractError):
             ad.backward(out, tape)
+
+    def test_add_rejects_different_shapes(self):
+        # a matrix plus a row vector is not broadcast
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3,\)"):
+            ad.add(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros(3)))
 
     def test_shared_parameter_accumulates(self):
         w = ad.parameter([2.0])
 
         def build():
-            return ad.add(ad.sum_all(ad.mul(w, w)), ad.sum_all(w))
+            return ad.add(dot(w, [3.0]), dot(ad.add(w, w), [1.0]))
 
         _, grads = grad_of(build, [w])
-        npt.assert_allclose(grads[w], [5.0])  # 2w + 1
+        npt.assert_array_equal(grads[w], [5.0])  # 3 + 1 + 1
 
     def test_repeated_uses_sum_without_touching_shared_arrays(self):
         # add hands the same upstream array to both operands; x then gets
         # two more terms, which must not leak into z's gradient
         x = ad.parameter([1.0, 2.0])
         z = ad.parameter([3.0, 4.0])
-        c = ad.constant([2.0, 3.0])
+        c = np.array([2.0, 3.0])
 
         def build():
-            return ad.add(ad.add(ad.sum_all(ad.mul(ad.add(x, z), c)),
-                                 ad.sum_all(ad.mul(x, c))), ad.sum_all(x))
+            return ad.add(ad.add(dot(ad.add(x, z), c), dot(x, c)), dot(x, np.ones(2)))
 
         _, grads = grad_of(build, [x, z])
         npt.assert_array_equal(grads[x], [5.0, 7.0])  # 2c + 1
@@ -314,6 +271,7 @@ class TestBackward:
             wv = rng.uniform(-2.0, 2.0, size=(4, 3))
             bv = rng.uniform(-2.0, 2.0, size=3)
             xv = rng.uniform(-2.0, 2.0, size=(5, 4))
+            cv = rng.uniform(-2.0, 2.0, size=(5, 3))
             # keep clear of ReLU kinks so central differences are valid
             if np.min(np.abs(xv @ wv + bv)) < 1e-3:
                 continue
@@ -321,8 +279,8 @@ class TestBackward:
             b = ad.parameter(bv.copy())
 
             def build():
-                h = ad.relu(ad.add(ad.matmul(ad.constant(xv), w), b))
-                return ad.add(ad.sum_all(ad.mul(h, h)),
+                h = ad.relu_affine(ad.constant(xv), w, b)
+                return ad.add(dot(h, cv),
                               ad.cross_entropy_logits(ad.readout(h, "mean"), 1))
 
             _, grads = grad_of(build, [w, b])
@@ -332,7 +290,7 @@ class TestBackward:
                 mean = h.mean(axis=0)
                 ce = (np.log(np.exp(mean - mean.max()).sum())
                       + mean.max() - mean[1])
-                return float((h * h).sum() + ce)
+                return float((h * cv).sum() + ce)
 
             fd = ad.finite_difference(loss_w, wv.copy())
             rel = np.abs(grads[w] - fd) / np.maximum(
@@ -347,7 +305,7 @@ class TestDeterminism:
         w = rng.normal(size=(4, 4))
 
         def run():
-            h = ad.relu(ad.matmul(ad.constant(x), ad.constant(w)))
+            h = ad.relu_affine(ad.constant(x), ad.constant(w))
             return ad.readout(h, "max").values
 
         npt.assert_array_equal(run(), run())
@@ -357,7 +315,7 @@ class TestDeterminism:
         for _ in range(10):
             x = rng.uniform(-10, 10, size=(4, 3))
             w = rng.uniform(-10, 10, size=(3, 3))
-            h = ad.relu(ad.matmul(ad.constant(x), ad.constant(w)))
+            h = ad.relu_affine(ad.constant(x), ad.constant(w))
             out = ad.concat_features([ad.readout(h, "max"), ad.readout(h, "mean")])
             assert np.all(np.isfinite(out.values))
 
@@ -367,18 +325,19 @@ class TestTapeMechanics:
         a = ad.parameter(np.ones(2))
         b = ad.parameter(np.ones(2))
         with ad.GradTape() as tape:
-            loss = ad.sum_all(ad.add(ad.mul(a, b), a))  # a used twice
+            loss = dot(ad.add(b, ad.add(a, b)), np.ones(2))  # b used twice
         grads = ad.backward(loss, tape)
         # only leaves remain, each once, in the order the reverse pass
-        # first reached them; a's two uses are summed
-        assert list(grads) == [a, b]
-        npt.assert_array_equal(grads[a], [2.0, 2.0])
+        # first reached them; b's two uses are summed
+        assert list(grads) == [b, a]
+        npt.assert_array_equal(grads[b], [2.0, 2.0])
+        npt.assert_array_equal(grads[a], [1.0, 1.0])
 
     def test_nodes_topologically_ordered(self):
         a = ad.parameter(np.ones(2))
         with ad.GradTape() as tape:
-            out = ad.relu(ad.mul(a, a))
-            ad.sum_all(out)
+            out = ad.add(ad.add(a, a), a)
+            dot(out, np.ones(2))
         outputs = {id(node.output) for node in tape.nodes}
         produced = set()
         for node in tape.nodes:
@@ -387,6 +346,6 @@ class TestTapeMechanics:
             produced.add(id(node.output))
 
     def test_no_tape_forward_still_computes(self):
-        out = ad.relu(ad.constant([-1.0, 1.0]))
-        npt.assert_array_equal(out.values, [0.0, 1.0])
+        out = ad.relu_affine(ad.constant([[-1.0], [1.0]]), ad.constant([[1.0]]))
+        npt.assert_array_equal(out.values, [[0.0], [1.0]])
         assert ad.active_tape() is None and not out.requires_grad

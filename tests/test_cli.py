@@ -412,6 +412,15 @@ class TestInspect:
                    "--out-prefix", str(tmp_path / "afile" / "x")) == 2
         one_line_error(capsys, "afile")
 
+    def test_out_prefix_directory_writes_beside_it(self, trained, tmp_path):
+        ckpt, _ = trained
+        (tmp_path / "adir").mkdir()
+        assert run("inspect", "--checkpoint", str(ckpt), "--what", "adjacency",
+                   "--out-prefix", str(tmp_path / "adir")) == 0
+        assert (tmp_path / "adir_adjacency.csv").is_file()
+        assert (tmp_path / "adir_adjacency.pgm").is_file()
+        assert list((tmp_path / "adir").iterdir()) == []
+
     def test_salient_requires_data(self, trained):
         ckpt, _ = trained
         assert run("inspect", "--checkpoint", str(ckpt),
@@ -547,6 +556,7 @@ def bad_inputs(tmp_path_factory):
         (root / "ds" / f"{name}.json").write_text(json.dumps({**manifest, **edit}))
     (root / "broken").mkdir()
     (root / "broken" / "manifest.json").write_text("{")
+    (root / "adir").mkdir()
     return root
 
 
@@ -723,6 +733,10 @@ ERROR_TABLE = [
     ("eval-out-dot", EVAL + " {r}/ds/manifest.json --out .", 1, "--out needs a file name"),
     ("ablate-out-dot", "ablate --config {r}/run.json --grid {{}} --holdout-folds 4 --out .",
      1, "--out needs a file name"),
+    ("eval-out-directory", EVAL + " {r}/ds/manifest.json --out {r}/adir",
+     2, "adir is a directory"),
+    ("ablate-out-directory", "ablate --config {r}/run.json --grid {{}} --holdout-folds 4 "
+     "--out {r}/adir", 2, "adir is a directory"),
     ("data-manifest-and-synth", "train --config {r}/run.json --override "
      'data.synth={{"num_classes":3,"per_class":2,"m":8,"p":4}} --override output_dir={r}/both',
      1, "data section needs exactly one of 'manifest' or 'synth'"),
@@ -745,8 +759,13 @@ def expect_one_line(capsys, bad_inputs, argv, code, expected):
 class TestErrorTable:
     @pytest.mark.parametrize("argv, code, expected", [row[1:] for row in ERROR_TABLE],
                              ids=[row[0] for row in ERROR_TABLE])
-    def test_one_line_and_exit_code(self, bad_inputs, capsys, argv, code, expected):
-        expect_one_line(capsys, bad_inputs, argv.format(r=bad_inputs).split(), code, expected)
+    def test_one_line_and_exit_code(self, bad_inputs, capsys, monkeypatch, argv, code,
+                                    expected):
+        argv = argv.format(r=bad_inputs).split()
+        if argv[0] in ("eval", "ablate"):  # each such error is found before any work
+            for name in ("train", "evaluate"):
+                monkeypatch.setattr(tr, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+        expect_one_line(capsys, bad_inputs, argv, code, expected)
 
     def test_module_entry_point(self, tmp_path):
         src = str(Path(__file__).resolve().parents[1] / "src")

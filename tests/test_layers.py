@@ -11,6 +11,7 @@ from lgrin import autodiff as ad
 from lgrin import layers as L
 from lgrin.errors import ContractError
 from lgrin.model import ModelConfig, build_lgrin
+from upstream import dot
 
 
 def identity_mlp(width):
@@ -194,7 +195,7 @@ class TestLayerGradients:
             with ad.GradTape(track_kinks=True) as tape:
                 out = L.inception_layer(ad.constant(hv), ad.constant(av),
                                         *layer, mask)
-                loss = ad.sum_all(ad.mul(out, ad.constant(coefs)))
+                loss = dot(out, coefs)
             if tape.kink_margin() > 1e-3:
                 break
         else:
@@ -206,7 +207,7 @@ class TestLayerGradients:
 
         def loss_value(_):
             out = L.inception_layer(ad.constant(hv), ad.constant(av), *layer, mask)
-            return ad.sum_all(ad.mul(out, ad.constant(coefs))).item()
+            return dot(out, coefs).item()
 
         for name, tensor in params.items():
             fd = ad.finite_difference(loss_value, tensor.values)

@@ -8,7 +8,7 @@ import pytest
 
 from lgrin import autodiff as ad
 from lgrin.adjacency import effective_adjacency, structure_matrix
-from lgrin.errors import ConfigError, ShapeError
+from lgrin.errors import ConfigError, ContractError, ShapeError
 from lgrin.objective import LossWeights, graph_learning_loss
 
 
@@ -116,6 +116,10 @@ class TestGraphLearningLoss:
                                 structure_matrix(3),
                                 ad.constant(np.zeros(4)), LossWeights())
 
+    def test_needs_adjacency_or_pooling(self):
+        with pytest.raises(ContractError):
+            graph_learning_loss(None, structure_matrix(3), None, LossWeights())
+
 
 class TestTotalLoss:
     def test_pooling_term_gradient_closed_form(self):
@@ -136,6 +140,18 @@ class TestTotalLoss:
 
         fd = ad.finite_difference(f, p_values.copy())
         assert np.max(np.abs(analytic - fd)) < 1e-8
+
+    def test_adjacency_terms_gradient_closed_form(self):
+        # lambda1 * sum(A_d o A) + lambda2 * ||A||^2: the gradient is
+        # 2 * lambda2 * A + lambda1 * A_d, with the same bits (doubling is exact)
+        rng = np.random.default_rng(3)
+        a_values = np.abs(rng.normal(size=(6, 6)))
+        w = LossWeights(lambda1=0.3, lambda2=0.7, lambda3=0.0)
+        a = ad.parameter(a_values.copy())
+        with ad.GradTape() as tape:
+            loss = graph_learning_loss(a, structure_matrix(6), None, w)
+        analytic = ad.backward(loss, tape)[a]
+        npt.assert_array_equal(analytic, 2.0 * 0.7 * a_values + 0.3 * structure_matrix(6))
 
     def test_gradients_flow_through_effective_adjacency(self):
         rng = np.random.default_rng(2)

@@ -9,8 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lgrin import adjacency as adj
 from lgrin import autodiff as ad
 from lgrin import data as dd
+from lgrin.objective import LossWeights, graph_learning_loss
+from upstream import dot
 
 # few distinct values, so ties are common; no -0.0 or NaN, which
 # neighborhood_max's inputs never hold (the model's features are finite with
@@ -56,7 +59,7 @@ def taped(make_input, hv, mask, g, track_kinks):
     h = make_input(hv)
     with ad.GradTape(track_kinks=track_kinks) as tape:
         out = ad.neighborhood_max(h, mask)
-        loss = ad.sum_all(ad.mul(out, ad.constant(g)))
+        loss = dot(out, g)
     grads = ad.backward(loss, tape)
     return out.values, grads.get(h), tape
 
@@ -152,10 +155,10 @@ def test_column_blocks_match_per_node_reference(case, data):
 
 def check_gradients(op, arrays, upstream):
     """Analytic gradients of sum(op(*arrays) * upstream) against central
-    finite differences, one input at a time."""
+    finite differences, one input at a time; returns the kink-tracking tape."""
     params = [ad.parameter(a) for a in arrays]
     with ad.GradTape(track_kinks=True) as tape:
-        loss = ad.sum_all(ad.mul(op(*params), ad.constant(upstream)))
+        loss = dot(op(*params), upstream)
     grads = ad.backward(loss, tape)
     # no max or ReLU kink within reach of the differences
     assume(tape.kink_margin() > 1e-3)
@@ -166,6 +169,7 @@ def check_gradients(op, arrays, upstream):
 
         fd = ad.finite_difference(f, arrays[k].copy())
         np.testing.assert_allclose(grads[p], fd, rtol=1e-6, atol=1e-7)
+    return tape
 
 
 FD_VALUES = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -190,13 +194,42 @@ def test_propagate_matches_finite_differences(data, shape, stacked):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.data(), batch_shapes(), st.integers(1, 3), st.booleans())
-def test_relu_affine_matches_finite_differences(data, shape, n, bias):
+@given(st.data(), batch_shapes(), st.integers(1, 3), st.booleans(), st.booleans())
+def test_relu_affine_matches_finite_differences(data, shape, n, bias, relu):
     m, b, f = shape
     arrays = [data.draw(fd_array((m, b, f))), data.draw(fd_array((f, n)))]
     if bias:
         arrays.append(data.draw(fd_array((n,))))
-    check_gradients(ad.relu_affine, arrays, data.draw(fd_array((m, b, n))))
+    tape = check_gradients(lambda *params: ad.relu_affine(*params, relu=relu), arrays,
+                           data.draw(fd_array((m, b, n))))
+    if not relu:  # the affine map alone has no kink to record
+        assert tape.relu_margin == math.inf
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 4))
+def test_effective_adjacency_matches_finite_differences(data, m):
+    check_gradients(adj.effective_adjacency, [data.draw(fd_array((m, m)))],
+                    data.draw(fd_array((m, m))))
+
+
+LAMBDAS = st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 4), st.sampled_from(["adjacency", "pooling", "both"]),
+       st.builds(LossWeights, LAMBDAS, LAMBDAS, LAMBDAS))
+def test_graph_learning_loss_matches_finite_differences(data, m, terms, weights):
+    a_d = adj.structure_matrix(m)
+    arrays, upstream = [], np.array(data.draw(FD_VALUES))
+    if terms != "pooling":
+        arrays.append(data.draw(fd_array((m, m))))
+    if terms != "adjacency":
+        arrays.append(data.draw(fd_array((m,))))
+    ops = {"adjacency": lambda a: graph_learning_loss(a, a_d, None, weights),
+           "pooling": lambda p: graph_learning_loss(None, a_d, p, weights),
+           "both": lambda a, p: graph_learning_loss(a, a_d, p, weights)}
+    check_gradients(ops[terms], arrays, upstream)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
