@@ -8,7 +8,9 @@ Every command is deterministic given its flags and seeds, and emits files
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -299,10 +301,14 @@ def cmd_inspect(args) -> int:
     # salient node per sample
     if not args.data:
         raise ConfigError("--what salient requires --data")
+    mm.check_max_readout(model)  # before the dataset is read
     samples = mm.samples_for(model, load_dataset(args.data))
     nodes = mm.salient_nodes(model, samples)
-    text = "id,salient_node\n" + "".join(f"{s.id},{k}\n" for s, k in zip(samples, nodes))
-    print(f"wrote {atomic_write_text(paths[0], text)}")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")  # quotes an id holding , " or \n
+    writer.writerow(("id", "salient_node"))
+    writer.writerows((s.id, k) for s, k in zip(samples, nodes))
+    print(f"wrote {atomic_write_text(paths[0], buf.getvalue())}")
     return EXIT_OK
 
 

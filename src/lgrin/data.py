@@ -9,8 +9,10 @@ downstream by padding or truncating every sample to the shared node count.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable
@@ -69,8 +71,38 @@ class GraphDataset:
 _MANIFEST_KEYS = {"name", "num_classes", "feature_dim", "target_length", "samples"}
 
 
+# np.loadtxt strips these four characters from the ends of a cell, as
+# whitespace, where Python ``float`` rejects the cell. They are the only code
+# points on which the two disagree, so a text holding one takes the per-line
+# parser.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
 def _read_csv_matrix(path: Path, expected_width: int) -> np.ndarray:
+    """The (T, expected_width) matrix of a feature CSV.
+
+    Parsed in C by ``np.loadtxt``, which gives the bits Python ``float``
+    gives; any text it refuses, or reads to a shape other than the one
+    expected, goes through ``_parse_csv_lines``, the reference that accepts
+    what ``float`` accepts and raises every error.
+    """
     text = read_text(path, DataError, "feature file")
+    if not any(c in text for c in _LOADTXT_ONLY_SPACE):
+        try:
+            with warnings.catch_warnings():
+                # "input contained no data" would be a second line on stderr
+                warnings.simplefilter("ignore")
+                values = np.loadtxt(io.StringIO(text), delimiter=",", comments=None,
+                                    dtype=np.float64, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape[0] and values.shape[1] == expected_width:
+                return values
+    return _parse_csv_lines(path, text, expected_width)
+
+
+def _parse_csv_lines(path: Path, text: str, expected_width: int) -> np.ndarray:
     rows: list[list[float]] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()

@@ -273,6 +273,13 @@ def argmax_plurality(h: np.ndarray) -> int:
     return int(counts.argmax())
 
 
+def check_max_readout(model: LGrinModel) -> None:
+    """Raise ConfigError unless the model's readout is a max, which
+    ``salient_nodes`` reads."""
+    if model.config.arch == "lgrin" and model.config.pooling_mode == "mean":
+        raise ConfigError("salient nodes need a pooling mode with a max readout")
+
+
 def salient_nodes(model: LGrinModel, samples: list[SequenceSample]) -> list[int]:
     """Per sample, the node contributing the most features to the final max readout.
 
@@ -281,8 +288,7 @@ def salient_nodes(model: LGrinModel, samples: list[SequenceSample]) -> list[int]
     and returns the plurality winner, lowest index on ties. The embeddings
     come from the chunked forward-only passes.
     """
-    if model.config.arch == "lgrin" and model.config.pooling_mode == "mean":
-        raise ConfigError("salient nodes need a pooling mode with a max readout")
+    check_max_readout(model)
     return [argmax_plurality(h.values[:, b])
             for _, h in forward_chunks(model, samples) for b in range(h.shape[1])]
 

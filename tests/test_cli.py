@@ -1,5 +1,6 @@
 """Command-line front end tests: exit codes, emitted artifacts, determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -421,6 +422,34 @@ class TestInspect:
         assert (tmp_path / "adir_adjacency.pgm").is_file()
         assert list((tmp_path / "adir").iterdir()) == []
 
+    def test_salient_csv_quotes_ids(self, trained, dataset_dir):
+        ckpt, _ = trained
+        manifest = json.loads((dataset_dir / "manifest.json").read_text())
+        ids = ["left,right", "two\nlines", 'say "hi"']
+        for entry, sid in zip(manifest["samples"], ids):
+            entry["id"] = sid
+        (dataset_dir / "odd_ids.json").write_text(json.dumps(manifest))
+        assert run("inspect", "--checkpoint", str(ckpt), "--what", "salient",
+                   "--data", str(dataset_dir / "odd_ids.json")) == 0
+        path = ckpt.with_name("checkpoint_salient.csv")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["id", "salient_node"]
+        assert [row[0] for row in rows[1:]] == ids + [e["id"] for e in manifest["samples"][3:]]
+        assert all(len(row) == 2 and 0 <= int(row[1]) < 8 for row in rows[1:])
+        # plain ids are written as they are
+        assert path.read_text().endswith(f"\n{manifest['samples'][-1]['id']},{rows[-1][1]}\n")
+
+    def test_salient_mean_pooling_fails_before_reading_data(self, tmp_path, run_config,
+                                                            dataset_dir, monkeypatch, capsys):
+        assert run("train", "--config", str(run_config), "--override", "model.pooling_mode=mean",
+                   "--override", f"output_dir={tmp_path / 'mean'}") == 0
+        monkeypatch.setattr(cli, "load_dataset", lambda *args: pytest.fail("dataset read"))
+        capsys.readouterr()
+        assert run("inspect", "--checkpoint", str(tmp_path / "mean" / "checkpoint.npz"),
+                   "--what", "salient", "--data", str(dataset_dir / "manifest.json")) == 1
+        one_line_error(capsys, "salient nodes need a pooling mode with a max readout")
+
     def test_salient_requires_data(self, trained):
         ckpt, _ = trained
         assert run("inspect", "--checkpoint", str(ckpt),
@@ -542,7 +571,9 @@ def bad_inputs(tmp_path_factory):
                                 ("nul", "a\0.csv", None),
                                 ("cell", "a.csv", b"1,x,3,4\n"),
                                 ("width", "a.csv", b"1,2,3\n"),
-                                ("latin1_csv", "a.csv", b"1,2,3,4\xe9\n")]:
+                                ("latin1_csv", "a.csv", b"1,2,3,4\xe9\n"),
+                                ("empty_csv", "a.csv", b""),
+                                ("blank_csv", "a.csv", b"\n\r\n\r")]:
         (root / name).mkdir()
         (root / name / "manifest.json").write_text(json.dumps(
             {**manifest, "samples": [{"features": features, "label": 0, "id": "a"}]}))
@@ -619,6 +650,9 @@ ERROR_TABLE = [
     ("csv-width", EVAL + " {r}/width/manifest.json", 2, "expected 4 columns"),
     ("csv-not-utf8", EVAL + " {r}/latin1_csv/manifest.json",
      2, "a.csv: feature file is not UTF-8 text"),
+    # np.loadtxt warns on a file without data; that would be a second line
+    ("csv-empty", EVAL + " {r}/empty_csv/manifest.json", 2, "a.csv: no frames"),
+    ("csv-blank-only", EVAL + " {r}/blank_csv/manifest.json", 2, "a.csv: no frames"),
     # eval loads the checkpoint before the dataset
     *[(f"checkpoint-{name}",
        f"eval --checkpoint {{r}}/{file}.npz --data {{r}}/ds/manifest.json", 1, message)

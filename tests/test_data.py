@@ -6,9 +6,11 @@ import os
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgrin import data as dd
-from lgrin.errors import ConfigError, DataError, SplitError
+from lgrin.errors import ConfigError, DataError, SplitError, read_text
 
 
 def write_dataset(tmp_path, rows_per_sample, labels, feature_dim=3,
@@ -196,6 +198,127 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="not a plain file name"):
             dd.save_dataset(self.two_samples("a", sid), tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
+
+
+def per_line_reference(path, expected_width):
+    """The per-cell parser that the C reader replaces, kept as it was."""
+    text = read_text(path, DataError, "feature file")
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != expected_width:
+            raise DataError(f"{path}:{lineno}: expected {expected_width} "
+                            f"columns, found {len(cells)}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
+    if not rows:
+        raise DataError(f"{path}: no frames")
+    return np.array(rows, dtype=np.float64)
+
+
+def parse_outcome(parse, path, width):
+    """What ``parse`` makes of the file: its array's shape, dtype and bits,
+    or its DataError message."""
+    try:
+        values = parse(path, width)
+    except DataError as exc:
+        return "DataError", str(exc)
+    return values.shape, values.dtype, values.tobytes()
+
+
+def assert_parses_like_reference(path, raw, width):
+    path.write_bytes(raw.encode("utf-8"))
+    assert parse_outcome(dd._read_csv_matrix, path, width) == \
+        parse_outcome(per_line_reference, path, width), repr(raw)
+
+
+# whole files (written as UTF-8 bytes, so "\r" reaches read_text) and their width
+PARSE_TABLE = [
+    ("negative-zero", "-0.0,0.0\n", 2),
+    ("subnormals", "4.9e-324,2.2250738585072009e-308\n-5e-324,1e-320\n", 2),
+    ("subnormal-halfway", "2.4703282292062328e-324,2.4703282292062327e-324\n", 2),
+    ("largest-double", "1.7976931348623157e308,-1.7976931348623157e308\n", 2),
+    ("overflow", "1e400,-1e400\n", 2),
+    ("nan", "nan,-nan\nNaN,+nan\n", 2),
+    ("inf", "inf,-Infinity\nINF,+iNfInItY\n", 2),
+    ("round-trip-digits", "0.10000000000000001,2.7182818284590451\n", 2),
+    ("long-digit-strings", "1" + "0" * 400 + ",0." + "0" * 400 + "1\n", 2),
+    ("spaces-around-cells", " 1 ,\t2\t\n", 2),
+    ("underscore", "1_0,2\n", 2),
+    ("arabic-indic-digits", "\u0661\u0662,2\n", 2),
+    ("fullwidth-digits", "\uff11\uff12,2\n", 2),
+    *[(f"control-{ord(c):02x}-{where}", text, 2) for c in "\x1c\x1d\x1e\x1f"
+      for where, text in [("end", f"1{c},2\n"), ("start", f"{c}1,2\n"),
+                          ("middle", f"1{c}5,2\n"), ("line-end", f"1,2{c}\n")]],
+    ("nul", "1\x00,2\n", 2),
+    ("blank-lines", "\n1,2\n\n\n3,4\n\n", 2),
+    ("whitespace-only-line", "1,2\n \t \n3,4\n", 2),
+    ("crlf", "1,2\r\n3,4\r\n", 2),
+    ("bare-cr", "1,2\r3,4\r", 2),
+    ("no-final-newline", "1,2\n3,4", 2),
+    ("one-column", "5\n6\n", 1),
+    ("trailing-comma", "1,2,\n", 2),
+    ("wrong-width-line-2", "1,2\n3\n", 2),
+    ("non-numeric-line-2", "1,2\n3,x\n", 2),
+    ("empty-cell", "1,,2\n", 3),
+    ("hex", "0x1p3,1\n", 2),
+    ("comment-mark", "1,2\n#3,4\n", 2),
+    ("empty-file", "", 2),
+    ("blank-only-file", "\n \n\t\n", 2),
+]
+
+
+@pytest.fixture(scope="module")
+def csv_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse") / "a.csv"
+
+
+# the whitespace Python strips: ASCII, Unicode, and the four control
+# characters around a cell that np.loadtxt strips and Python float does not
+SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028"
+# and what else parsers tend to differ on: line endings, separators, NUL,
+# quotes, comment marks, non-ASCII digits, the letters of nan and inf
+ODD = SPACES + "\r\n,\x00_#\"\u0661\uff11.eE+-naif"
+NUMBER = st.one_of(st.floats().map(repr), st.floats().map(lambda v: f"{v:.17g}"),
+                   st.integers(-10**20, 10**20).map(str))
+
+
+@st.composite
+def csv_texts(draw):
+    """A feature file of the drawn width, its cells padded with plain or any
+    spaces, then up to two odd insertions."""
+    width = draw(st.integers(1, 3))
+    pad = st.text(draw(st.sampled_from([" \t", SPACES])), max_size=2)
+    row = st.lists(st.tuples(pad, NUMBER, pad).map("".join),
+                   min_size=width, max_size=width).map(",".join)
+    lines = draw(st.lists(st.one_of(row, row, pad), max_size=4))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    for _ in range(draw(st.integers(0, 2))):
+        pos = draw(st.integers(0, len(text)))
+        text = text[:pos] + draw(st.text(ODD, min_size=1, max_size=2)) + text[pos:]
+    return text, width
+
+
+class TestCsvParser:
+    """The C reader with its fallback gives the per-line parser's bits or
+    its DataError message."""
+
+    @pytest.mark.parametrize("raw, width", [row[1:] for row in PARSE_TABLE],
+                             ids=[row[0] for row in PARSE_TABLE])
+    def test_table(self, tmp_path, raw, width):
+        assert_parses_like_reference(tmp_path / "a.csv", raw, width)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(csv_texts())
+    def test_random_texts(self, csv_file, case):
+        raw, width = case
+        assert_parses_like_reference(csv_file, raw, width)
 
 
 class TestPadOrTruncate:
