@@ -148,7 +148,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)  # fail on it before training
     model, report = tr.train(mm.BUILDERS[config.arch](config), ds, cfg)
     ckpt = mm.save_checkpoint(model, out_dir / "checkpoint.npz")
-    report_doc = {"report": report.to_dict(), "run_config": doc,
+    report_doc = {"report": dataclasses.asdict(report), "run_config": doc,
                   "parameter_count": mm.parameter_count(model)}
     report_path = atomic_write_text(out_dir / "report.json",
                                     json.dumps(report_doc, indent=2) + "\n")
@@ -305,9 +305,11 @@ def cmd_inspect(args) -> int:
     samples = mm.samples_for(model, load_dataset(args.data))
     nodes = mm.salient_nodes(model, samples)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")  # quotes an id holding , " or \n
+    writer = csv.writer(buf, lineterminator="\n")  # quotes an id holding , " or \n, not \r
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
     writer.writerow(("id", "salient_node"))
-    writer.writerows((s.id, k) for s, k in zip(samples, nodes))
+    for s, k in zip(samples, nodes):
+        (quoted if "\r" in s.id else writer).writerow((s.id, k))
     print(f"wrote {atomic_write_text(paths[0], buf.getvalue())}")
     return EXIT_OK
 

@@ -74,9 +74,6 @@ class TrainReport:
     seed: int
     config: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     """Stepped schedule: lr0 * decay^(epoch // decay_every)."""
@@ -87,39 +84,30 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment buffers plus the step counter."""
+    """Adam's moment vectors over the parameter vector, plus the step count."""
 
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-
-    @classmethod
-    def init(cls, registry: dict[str, Tensor]) -> "AdamState":
-        return cls(step=0,
-                   m={k: np.zeros_like(t.values) for k, t in registry.items()},
-                   v={k: np.zeros_like(t.values) for k, t in registry.items()})
+    m: np.ndarray
+    v: np.ndarray
 
 
-def adam_step(registry: dict[str, Tensor], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float, cfg: TrainConfig) -> None:
-    """Standard bias-corrected Adam update, in place."""
-    missing = set(registry) - set(grads)
-    if missing:
-        raise ContractError(f"gradients missing for {sorted(missing)}")
+def adam_step(params: np.ndarray, g: np.ndarray, state: AdamState,
+              lr: float, cfg: TrainConfig) -> None:
+    """Standard bias-corrected Adam update of one parameter vector, in place."""
+    if g.shape != params.shape:
+        raise ContractError(f"gradient of shape {g.shape} for parameters "
+                            f"of shape {params.shape}")
     state.step += 1
     t = state.step
     b1, b2 = cfg.beta1, cfg.beta2
     correct1 = 1.0 - b1 ** t
     correct2 = 1.0 - b2 ** t
-    for name, tensor in registry.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        tensor.values -= lr * (m / correct1) / (np.sqrt(v / correct2) + cfg.epsilon)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    params -= lr * (m / correct1) / (np.sqrt(v / correct2) + cfg.epsilon)
 
 
 def registry_grads(registry: dict[str, Tensor],
@@ -133,15 +121,22 @@ def train(model: mm.LGrinModel, dataset: GraphDataset,
           cfg: TrainConfig) -> tuple[mm.LGrinModel, TrainReport]:
     """Run the full epoch loop, mutating the model's parameters in place.
 
-    Adam updates exactly the registry tensors that require grad; a
-    constant entry (a fine-tuned model's frozen body) is never changed.
+    Adam updates exactly the registry tensors that require grad, as one
+    vector: at the start their values are copied, in registry order, into
+    one contiguous array and each tensor is rebound to its view of it. A
+    constant entry (a fine-tuned model's frozen body) stays outside and is
+    never changed.
     """
     started = time.perf_counter()
     padded = mm.samples_for(model, dataset)
     labels = dataset.labels()
     n = len(padded)
     params = {k: t for k, t in model.registry.items() if t.requires_grad}
-    state = AdamState.init(params)
+    flat = np.concatenate([t.values.ravel() for t in params.values()])
+    ends = np.cumsum([t.values.size for t in params.values()])
+    for t, part in zip(params.values(), np.split(flat, ends[:-1])):
+        t.values = part.reshape(t.shape)  # a view of flat
+    state = AdamState(step=0, m=np.zeros_like(flat), v=np.zeros_like(flat))
     rng = np.random.default_rng(cfg.seed)
 
     loss_curve: list[float] = []
@@ -164,7 +159,8 @@ def train(model: mm.LGrinModel, dataset: GraphDataset,
                     raise NumericalError(f"loss became non-finite ({step_loss}) at "
                                          f"epoch {epoch}, batch {batch_index}")
                 grads = registry_grads(params, ad.backward(total, tape))
-                adam_step(params, grads, state, lr, cfg)
+                adam_step(flat, np.concatenate([g.ravel() for g in grads.values()]),
+                          state, lr, cfg)
             epoch_loss += step_loss
             correct += int(np.count_nonzero(logits.values.argmax(axis=1) == labels[idx]))
         for name, tensor in model.registry.items():

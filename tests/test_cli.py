@@ -425,7 +425,7 @@ class TestInspect:
     def test_salient_csv_quotes_ids(self, trained, dataset_dir):
         ckpt, _ = trained
         manifest = json.loads((dataset_dir / "manifest.json").read_text())
-        ids = ["left,right", "two\nlines", 'say "hi"']
+        ids = ["left,right", "two\nlines", 'say "hi"', "cr\rid"]
         for entry, sid in zip(manifest["samples"], ids):
             entry["id"] = sid
         (dataset_dir / "odd_ids.json").write_text(json.dumps(manifest))
@@ -435,7 +435,7 @@ class TestInspect:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["id", "salient_node"]
-        assert [row[0] for row in rows[1:]] == ids + [e["id"] for e in manifest["samples"][3:]]
+        assert [row[0] for row in rows[1:]] == [e["id"] for e in manifest["samples"]]
         assert all(len(row) == 2 and 0 <= int(row[1]) < 8 for row in rows[1:])
         # plain ids are written as they are
         assert path.read_text().endswith(f"\n{manifest['samples'][-1]['id']},{rows[-1][1]}\n")
@@ -457,6 +457,14 @@ class TestInspect:
 
 
 class TestDeterminism:
+    def test_same_seeds_same_checkpoint_bytes(self, tmp_path, run_config):
+        blobs = []
+        for out in ("first", "second"):
+            assert run("train", "--config", str(run_config),
+                       "--override", f"output_dir={tmp_path / out}") == 0
+            blobs.append((tmp_path / out / "checkpoint.npz").read_bytes())
+        assert blobs[0] == blobs[1]
+
     @pytest.mark.xfail(strict=True, reason=(
         "known defect: with 2 OpenBLAS threads the (90, B*F) @ (B*F, 90) "
         "matmul behind the adjacency gradient rounds differently (~1e-16) "

@@ -77,44 +77,92 @@ class TestConfigFromJson:
         assert config_from_json(tr.TrainConfig, report.config, "train section") == cfg
 
 
+def per_entry_adam(arrays, grads, moments, step, lr, cfg):
+    """Reference: the bias-corrected Adam update applied entry by entry,
+    with (m, v) moments kept per name, in registry order."""
+    b1, b2 = cfg.beta1, cfg.beta2
+    correct1 = 1.0 - b1 ** step
+    correct2 = 1.0 - b2 ** step
+    for name, values in arrays.items():
+        g = grads[name]
+        m, v = moments[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        values -= lr * (m / correct1) / (np.sqrt(v / correct2) + cfg.epsilon)
+
+
 class TestAdam:
-    def make_registry(self, values):
-        return {"w": ad.parameter(np.array(values, dtype=np.float64))}
+    def fresh(self, values):
+        params = np.array(values, dtype=np.float64)
+        return params, tr.AdamState(step=0, m=np.zeros_like(params),
+                                    v=np.zeros_like(params))
 
     def test_zero_gradient_fixed_point(self):
-        reg = self.make_registry([1.0, -2.0])
-        state = tr.AdamState.init(reg)
-        cfg = tr.TrainConfig(epochs=1)
-        tr.adam_step(reg, {"w": np.zeros(2)}, state, 0.01, cfg)
-        npt.assert_array_equal(reg["w"].values, [1.0, -2.0])
+        params, state = self.fresh([1.0, -2.0])
+        tr.adam_step(params, np.zeros(2), state, 0.01, tr.TrainConfig(epochs=1))
+        npt.assert_array_equal(params, [1.0, -2.0])
         assert state.step == 1
 
     def test_first_step_moves_by_lr(self):
-        reg = self.make_registry([5.0])
-        state = tr.AdamState.init(reg)
-        cfg = tr.TrainConfig(epochs=1)
-        tr.adam_step(reg, {"w": np.array([1.0])}, state, 0.01, cfg)
+        params, state = self.fresh([5.0])
+        tr.adam_step(params, np.array([1.0]), state, 0.01, tr.TrainConfig(epochs=1))
         # bias correction makes the first step exactly -lr / (1 + eps)
-        npt.assert_allclose(reg["w"].values, [5.0 - 0.01], rtol=1e-7)
+        npt.assert_allclose(params, [5.0 - 0.01], rtol=1e-7)
 
     def test_deterministic(self):
         cfg = tr.TrainConfig(epochs=1)
         results = []
         for _ in range(2):
-            reg = self.make_registry([[0.3, -0.7], [1.1, 0.0]])
-            state = tr.AdamState.init(reg)
+            params, state = self.fresh([0.3, -0.7, 1.1, 0.0])
             rng = np.random.default_rng(0)
             for _ in range(10):
-                tr.adam_step(reg, {"w": rng.normal(size=(2, 2))}, state,
-                             0.01, cfg)
-            results.append(reg["w"].values)
+                tr.adam_step(params, rng.normal(size=4), state, 0.01, cfg)
+            results.append(params)
         npt.assert_array_equal(results[0], results[1])
 
-    def test_missing_gradient_rejected(self):
-        reg = self.make_registry([1.0])
-        state = tr.AdamState.init(reg)
-        with pytest.raises(ContractError, match="w"):
-            tr.adam_step(reg, {}, state, 0.01, tr.TrainConfig(epochs=1))
+    def test_wrong_shape_gradient_rejected(self):
+        params, state = self.fresh([1.0, 2.0])
+        with pytest.raises(ContractError, match=r"\(3,\).*\(2,\)"):
+            tr.adam_step(params, np.zeros(3), state, 0.01, tr.TrainConfig(epochs=1))
+        assert state.step == 0
+
+    def test_matches_per_entry_update_bit_for_bit(self):
+        cfg = tr.TrainConfig(epochs=1)
+        rng = np.random.default_rng(3)
+        shapes = {"matrix": (3, 4), "vector": (5,), "one": (1,)}
+        ref = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        moments = {name: (np.zeros(shape), np.zeros(shape))
+                   for name, shape in shapes.items()}
+        params, state = self.fresh(np.concatenate([a.ravel() for a in ref.values()]))
+        for step in range(1, 11):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            if step % 3 == 0:
+                grads["vector"] = np.zeros(5)  # an entry the loss did not reach
+            tr.adam_step(params, np.concatenate([g.ravel() for g in grads.values()]),
+                         state, 0.01, cfg)
+            per_entry_adam(ref, grads, moments, step, 0.01, cfg)
+            assert params.tobytes() == b"".join(a.tobytes() for a in ref.values())
+
+    def test_train_step_matches_per_entry_update(self):
+        ds = small_dataset(per_class=2)
+        cfg = tr.TrainConfig(epochs=1, batch_size=len(ds.samples), seed=4)
+        trained, _ = tr.train(mm.build_lgrin(small_config()), ds, cfg)
+        # the same single step by hand: the epoch's order, one backward
+        # pass, and the per-entry update of every trainable entry
+        model = mm.build_lgrin(small_config())
+        padded = mm.samples_for(model, ds)
+        order = np.random.default_rng(cfg.seed).permutation(len(padded))
+        with ad.GradTape() as tape:
+            total, _ = mm.loss(model, [padded[i] for i in order], cfg.loss_weights)
+        grads = tr.registry_grads(model.registry, ad.backward(total, tape))
+        arrays = {name: t.values for name, t in model.registry.items()}
+        moments = {name: (np.zeros_like(a), np.zeros_like(a)) for name, a in arrays.items()}
+        per_entry_adam(arrays, grads, moments, 1, tr.lr_at_epoch(cfg, 0), cfg)
+        assert list(trained.registry) == list(arrays)
+        for name, values in arrays.items():
+            assert trained.registry[name].values.tobytes() == values.tobytes(), name
 
 
 class TestTrainLoop:
