@@ -51,13 +51,19 @@ class Tensor:
     """Dense float64 array; ``requires_grad`` marks leaf parameters and
     everything computed from them. Finished tensors are immutable by
     convention and safe to share read-only.
+
+    ``const_tail`` counts the trailing last-axis columns that depend on no
+    tensor requiring grad, so a gradient sent into them reaches nothing.
+    Only ``concat_features`` and ``neighborhood_max`` set it; every other
+    op leaves 0, so the count can only err towards routing more.
     """
 
-    __slots__ = ("values", "requires_grad")
+    __slots__ = ("values", "requires_grad", "const_tail")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
+        self.const_tail = 0
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -271,7 +277,11 @@ def relu_affine(x: Tensor, w: Tensor, b: Tensor | None = None,
 
 def concat_features(parts: Sequence[Tensor]) -> Tensor:
     """Concatenation along the last (feature) axis of same-rank tensors
-    whose other axes agree: (M, B, F_k) parts, or 1-D vectors."""
+    whose other axes agree: (M, B, F_k) parts, or 1-D vectors.
+
+    The output's ``const_tail`` is the width of the trailing parts that do
+    not require grad plus the ``const_tail`` of the last part that does.
+    """
     if not parts:
         raise ShapeError("concat_features needs at least one part")
     lead = parts[0].shape[:-1]
@@ -285,7 +295,13 @@ def concat_features(parts: Sequence[Tensor]) -> Tensor:
     def back(g: np.ndarray):
         return np.split(g, splits, axis=-1)
 
-    return _emit(tuple(parts), np.concatenate([p.values for p in parts], axis=-1), back)
+    out = _emit(tuple(parts), np.concatenate([p.values for p in parts], axis=-1), back)
+    for p in reversed(parts):
+        if p.requires_grad:
+            out.const_tail += p.const_tail
+            break
+        out.const_tail += p.shape[-1]
+    return out
 
 
 def _tracking_tape() -> "GradTape | None":
@@ -319,9 +335,9 @@ def _track_max_margin(mat: np.ndarray) -> None:
         tracker.max_margin = min(tracker.max_margin, _distinct_top_gap(mat))
 
 
-# Columns per block of a mask group's (M, n) view: a block holds about
-# BLOCK_CELLS float64 cells (512 KB), so each node's gather reads a block
-# that stays in a 2 MB per-core L2 cache.
+# Samples per block: a block of whole samples holds about BLOCK_CELLS
+# float64 cells (512 KB) when a sample is smaller than that, so each node's
+# gather reads a block that stays in a 2 MB per-core L2 cache.
 BLOCK_CELLS = 1 << 16
 
 
@@ -332,16 +348,23 @@ def neighborhood_max(h: Tensor, neighbor_mask: np.ndarray) -> Tensor:
     (M, B, F) batch. ``neighbor_mask`` is a boolean (M, M) array shared by
     every sample, or for an (M, B, F) batch a (B, M, M) stack with one mask
     per sample; every node must select at least one neighbor. Each mask
-    covers a group of columns: the shared mask the whole batch, viewed as
-    (M, B*F), and a per-sample mask its own sample's (M, F). The columns of
-    a group are walked in blocks of ``BLOCK_CELLS // M`` (at least one);
-    each block is made contiguous once, and every node's gather
-    ``block[rows]`` and its max run inside it. ``h`` must hold no -0.0 or
-    NaN (the model's features are finite with -0.0 read as 0.0, and every
-    later input is rectified or copies them), so tied entries have equal
-    bits and the output is a plain max. The gradient routes per cell to the
-    lowest neighbor equal to the max, found only when a gradient will be
-    routed (``h`` requires grad on an active tape).
+    covers a group of samples (the shared mask the whole batch, a
+    per-sample mask its own sample), walked in blocks of
+    ``max(1, BLOCK_CELLS // (M*F))`` whole samples. Each block is made
+    contiguous once, and every node's gather ``block[rows]`` and its max
+    run on the block's (M, samples*F) view. ``h`` must hold no -0.0 or NaN
+    (the model's features are finite with -0.0 read as 0.0, and every later
+    input is rectified or copies them), so tied entries have equal bits and
+    the output is a plain max.
+
+    The gradient routes per cell to the lowest neighbor equal to the max.
+    That index is found only when a gradient will be routed (``h`` requires
+    grad on an active tape), and only in each sample's leading
+    ``F - h.const_tail`` columns: the trailing ``const_tail`` columns depend
+    on no parameter, so their gradient would be dropped. The output copies
+    ``h.const_tail``, since column j of the output reads only column j of
+    ``h``. Ranks ``M - node`` are kept in ``np.min_scalar_type(M)`` (uint8
+    up to M=255). A kink-tracking tape reads the tie margin of every column.
     """
     hv = h.values
     m = hv.shape[0]
@@ -355,54 +378,72 @@ def neighborhood_max(h: Tensor, neighbor_mask: np.ndarray) -> Tensor:
     tape = active_tape()
     tracking = tape is not None and tape.track_kinks
     routed = tape is not None and h.requires_grad
-    out = np.empty(hv.shape)
-    # per output cell, the node of the input cell it copies
-    source = np.empty(hv.shape, dtype=np.int32) if routed else None
-    # one mask per group of columns: (M, group, n) views put group g's
-    # (M, n) columns at [:, g]
+    # (M, group, sample, F): the samples of group g share masks[g]
     masks = mask.reshape(-1, m, m)
-    h3 = hv.reshape(m, len(masks), -1)
-    out3 = out.reshape(h3.shape)
-    source3 = source.reshape(h3.shape) if routed else None
+    f = hv.shape[-1] if hv.ndim > 1 else 1
+    samples = math.prod(hv.shape[1:-1])
+    per_group = samples // len(masks)
+    h4 = hv.reshape(m, len(masks), per_group, f)
+    out = np.empty(hv.shape)
+    out4 = out.reshape(h4.shape)
+    # per routed output cell, the node of the input cell it copies
+    r = f - h.const_tail
+    rank_type = np.min_scalar_type(m)
+    if routed:
+        source = np.empty((m, samples, r), dtype=rank_type)
+        source4 = source.reshape(m, len(masks), per_group, r)
     # every (group, node)'s neighbor rows, in mask order, and their ranks
-    # m - node, largest at the lowest node (node indices fit in int32,
-    # since an (M, M) mask fits in memory)
+    # m - node, largest at the lowest node
     ends = np.cumsum(counts.ravel()).tolist()
     nodes = np.nonzero(masks)[-1]
-    ranks = (m - nodes).astype(np.int32)[:, None]
+    ranks = (m - nodes).astype(rank_type)[:, None, None]
     neighbors = [(nodes[a:b], ranks[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-    width = max(1, BLOCK_CELLS // m)
+    step = max(1, BLOCK_CELLS // max(1, m * f))
     for g in range(len(masks)):
-        for c0 in range(0, h3.shape[2], width):
-            cols = slice(c0, c0 + width)
-            block = np.ascontiguousarray(h3[:, g, cols])
+        for s0 in range(0, per_group, step):
+            block = np.ascontiguousarray(h4[:, g, s0:s0 + step])
+            n = block.shape[1]
+            flat = block.reshape(m, n * f)
+            out_block = out4[:, g, s0:s0 + n].reshape(m, n * f)
+            if routed:
+                source_block = source4[:, g, s0:s0 + n]
             for i in range(m):
                 rows, rank = neighbors[g * m + i]
-                sub = block[rows]
-                out3[i, g, cols] = top = sub.max(axis=0)
+                sub = flat[rows]
+                out_block[i] = top = sub.max(axis=0)
                 if routed:
                     # the lowest neighbor equal to the max has the largest rank
-                    source3[i, g, cols] = m - ((sub == top) * rank).max(axis=0)
+                    lead = sub.reshape(rows.size, n, f)[..., :r]
+                    source_block[i] = m - ((lead == top.reshape(n, f)[:, :r]) * rank).max(axis=0)
                 if tracking:
                     _track_max_margin(sub)
-    if not routed:
-        # still one tape node per op; h gets no gradient through it
-        return _emit((h,), out, lambda g: (None,))
 
     def back(g: np.ndarray):
+        if not routed:  # still one tape node per op; h gets no gradient
+            return (None,)
         # bincount adds each input cell's terms in output-node order, as
-        # the per-node reference in tests/test_properties.py does
-        stride = hv[0].size  # cells per node
-        cells = np.multiply(source.reshape(m, stride), stride, dtype=np.intp)
-        cells += np.arange(stride)
-        gh = np.bincount(cells.ravel(), weights=g.ravel(), minlength=hv.size)
+        # the per-node reference in tests/test_properties.py does; the
+        # constant tail columns get 0.0
+        cells = np.multiply(source.reshape(m, samples * r), samples * f, dtype=np.intp)
+        cells += (np.arange(samples)[:, None] * f + np.arange(r)).ravel()
+        weights = g.reshape(m, samples, f)[..., :r]
+        gh = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=hv.size)
         return (gh.reshape(hv.shape),)
 
-    return _emit((h,), out, back)
+    result = _emit((h,), out, back)
+    result.const_tail = h.const_tail
+    return result
 
 
 def readout(h: Tensor, mode: str) -> Tensor:
-    """Max or mean over the node axis (axis 0): (M, ..., F) to (..., F)."""
+    """Max or mean over the node axis (axis 0): (M, ..., F) to (..., F).
+
+    The max takes its argmax only when a gradient will be routed (``h``
+    requires grad on an active tape); otherwise it is ``max(axis=0)``, the
+    same bits, since ``h`` holds no NaN or -0.0 (as in
+    ``neighborhood_max``). A kink-tracking tape reads the tie margin either
+    way.
+    """
     hv = h.values
     if hv.ndim < 2:
         raise ShapeError(f"readout needs nodes and features, got shape {h.shape}")
@@ -413,8 +454,10 @@ def readout(h: Tensor, mode: str) -> Tensor:
 
         return _emit((h,), hv.mean(axis=0), back)
     if mode == "max":
-        idx = hv.argmax(axis=0)[None]
         _track_max_margin(hv)
+        if active_tape() is None or not h.requires_grad:
+            return _emit((h,), hv.max(axis=0), lambda g: (None,))
+        idx = hv.argmax(axis=0)[None]
 
         def back(g: np.ndarray):
             gh = np.zeros_like(hv)

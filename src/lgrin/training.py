@@ -127,11 +127,13 @@ def train(model: mm.LGrinModel, dataset: GraphDataset,
     constant entry (a fine-tuned model's frozen body) stays outside and is
     never changed.
     """
+    params = {k: t for k, t in model.registry.items() if t.requires_grad}
+    if not params:
+        raise ConfigError("model has no trainable parameters: every registry entry is constant")
     started = time.perf_counter()
     padded = mm.samples_for(model, dataset)
     labels = dataset.labels()
     n = len(padded)
-    params = {k: t for k, t in model.registry.items() if t.requires_grad}
     flat = np.concatenate([t.values.ravel() for t in params.values()])
     ends = np.cumsum([t.values.size for t in params.values()])
     for t, part in zip(params.values(), np.split(flat, ends[:-1])):

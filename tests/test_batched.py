@@ -143,3 +143,78 @@ def test_relu_affine_matches_unfused_ops():
         assert tape.relu_margin == min(math.inf, float(np.abs(pre).min()))
         assert grads[w].tobytes() == (x2.T @ gz).tobytes()
         assert grads[b].tobytes() == gz.sum(axis=0).tobytes()
+
+
+def route_every_column(h, neighbor_mask):
+    """``neighborhood_max`` as it was before the routed prefix: column
+    blocks of each mask group's (M, n) view, and a routing index with int32
+    ranks for every column of an input that requires grad."""
+    hv = h.values
+    m = hv.shape[0]
+    mask = np.asarray(neighbor_mask, dtype=bool)
+    counts = mask.sum(axis=-1)
+    tape = ad.active_tape()
+    tracking = tape is not None and tape.track_kinks
+    routed = tape is not None and h.requires_grad
+    out = np.empty(hv.shape)
+    source = np.empty(hv.shape, dtype=np.int32) if routed else None
+    masks = mask.reshape(-1, m, m)
+    h3 = hv.reshape(m, len(masks), -1)
+    out3 = out.reshape(h3.shape)
+    source3 = source.reshape(h3.shape) if routed else None
+    ends = np.cumsum(counts.ravel()).tolist()
+    nodes = np.nonzero(masks)[-1]
+    ranks = (m - nodes).astype(np.int32)[:, None]
+    neighbors = [(nodes[a:b], ranks[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    width = max(1, (1 << 16) // m)
+    for g in range(len(masks)):
+        for c0 in range(0, h3.shape[2], width):
+            cols = slice(c0, c0 + width)
+            block = np.ascontiguousarray(h3[:, g, cols])
+            for i in range(m):
+                rows, rank = neighbors[g * m + i]
+                sub = block[rows]
+                out3[i, g, cols] = top = sub.max(axis=0)
+                if routed:
+                    source3[i, g, cols] = m - ((sub == top) * rank).max(axis=0)
+                if tracking:
+                    ad._track_max_margin(sub)
+    if not routed:
+        return ad._emit((h,), out, lambda g: (None,))
+
+    def back(g):
+        stride = hv[0].size
+        cells = np.multiply(source.reshape(m, stride), stride, dtype=np.intp)
+        cells += np.arange(stride)
+        gh = np.bincount(cells.ravel(), weights=g.ravel(), minlength=hv.size)
+        return (gh.reshape(hv.shape),)
+
+    return ad._emit((h,), out, back)
+
+
+@pytest.mark.parametrize("adjacency_mode, pooling_mode", MODES)
+def test_routed_prefix_keeps_every_bit_of_a_three_layer_step(adjacency_mode, pooling_mode,
+                                                             monkeypatch):
+    # three layers, so the max branch of the third reads a nested constant tail
+    config = mm.ModelConfig(m=7, p=5, c=3, inception_layers=3,
+                            etas=[(6, 4), (5, 3), (4, 2)], adjacency_mode=adjacency_mode,
+                            pooling_mode=pooling_mode, seed=3)
+    model = mm.build_lgrin(config)
+    batch = samples(config, 5)
+
+    def step():
+        with ad.GradTape(track_kinks=True) as tape:
+            loss, logits = mm.loss(model, batch, LossWeights())
+        grads = tr.registry_grads(model.registry, ad.backward(loss, tape))
+        return ([loss.values.tobytes(), logits.values.tobytes(), tape.max_margin]
+                + [grads[name].tobytes() for name in model.registry])
+
+    tails, routed_prefix = [], ad.neighborhood_max
+    monkeypatch.setattr(ad, "neighborhood_max", lambda h, mask: tails.append(h.const_tail)
+                        or routed_prefix(h, mask))
+    got = step()
+    # layer 0 reads the constant features; the last P columns of every later
+    # input are a max of them
+    assert tails == [0, config.p, config.p]
+    monkeypatch.setattr(ad, "neighborhood_max", route_every_column)
+    assert got == step()

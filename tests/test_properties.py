@@ -1,10 +1,12 @@
 """Property tests: tape ops against reference loops and central finite
 differences, and the invariants of the data helpers."""
 
+import contextlib
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -131,9 +133,9 @@ def test_batched_neighborhood_max_matches_per_sample_reference(case):
 def test_column_blocks_match_per_node_reference(case, data):
     hv, mask, g = case
     m, b, f = hv.shape
-    # a few cells per block: a mask group's columns (the batch's B*F for a
-    # shared mask, a sample's F otherwise) split into blocks of
-    # max(1, cells // M), often with a short last block
+    # a few cells per block: a mask group's samples (the whole batch for a
+    # shared mask, one sample otherwise) split into blocks of
+    # max(1, cells // (M*F)) whole samples, often with a short last block
     columns = b * f if mask.ndim == 2 else f
     cells = data.draw(st.integers(1, m * columns), label="BLOCK_CELLS")
     ref_out, ref_grad, ref_margin = batched_reference(hv, mask, g)
@@ -151,6 +153,142 @@ def test_column_blocks_match_per_node_reference(case, data):
                     assert grad is None
                 if track_kinks:
                     assert tape.max_margin == ref_margin
+
+
+@st.composite
+def routed_prefix_cases(draw):
+    """The parts of an (M, B, F) concat as (kind, w, c): a constant or a
+    parameter of width w, or ("nested", w, c), the neighborhood max of a
+    parameter of width w followed by c constant columns."""
+    m = draw(st.integers(1, 7))
+    b = draw(st.integers(1, 3))
+    specs = draw(st.lists(st.tuples(st.sampled_from(["const", "param", "nested"]),
+                                    st.integers(1, 3), st.integers(0, 2)),
+                          min_size=1, max_size=4))
+    specs = [(kind, w, c if kind == "nested" else 0) for kind, w, c in specs]
+    arrays = [draw(hnp.arrays(np.float64, (m, b, width), elements=st.sampled_from(VALUES)))
+              for _, w, c in specs for width in (w, c) if width]
+    masks = [draw(hnp.arrays(np.bool_, st.sampled_from([(m, m), (b, m, m)])))
+             for _ in range(2)]
+    for mask in masks:
+        mask[..., np.arange(m), np.arange(m)] = True
+    f = sum(w + c for _, w, c in specs)
+    g = draw(hnp.arrays(np.float64, (m, b, f), elements=st.sampled_from(UPSTREAM)))
+    cells = draw(st.integers(1, m * b * f), label="BLOCK_CELLS")
+    return specs, arrays, masks, g, cells
+
+
+def routed_prefix_run(specs, arrays, masks, g, track_kinks):
+    """Concat the parts into h and take its neighborhood max, on a tape
+    unless track_kinks is None. Returns the output, the tails of the output,
+    of h and of each nested max, every parameter's gradient and the margin."""
+    arrays = iter(arrays)
+    params, parts, nested = [], [], []
+    tape = (contextlib.nullcontext() if track_kinks is None
+            else ad.GradTape(track_kinks=track_kinks))
+    with tape:
+        for kind, w, c in specs:
+            if kind == "const":
+                parts.append(ad.constant(next(arrays)))
+                continue
+            params.append(ad.parameter(next(arrays)))
+            if kind == "param":
+                parts.append(params[-1])
+                continue
+            inner = [params[-1]]
+            if c:
+                inner.append(ad.constant(next(arrays)))
+            parts.append(ad.neighborhood_max(ad.concat_features(inner), masks[1]))
+            nested.append(parts[-1].const_tail)
+        h = ad.concat_features(parts)
+        out = ad.neighborhood_max(h, masks[0])
+        loss = dot(out, g)
+    tails = (out.const_tail, h.const_tail, nested)
+    if track_kinks is None:
+        return out.values, tails, None, None
+    grads = ad.backward(loss, tape)
+    return out.values, tails, [grads[p] for p in params], tape.max_margin
+
+
+def routed_prefix_reference(specs, arrays, masks, g):
+    """The same through the per-node reference, which routes every column:
+    output, parameter gradients, margin, and the tail as the trailing run of
+    parameter-free columns."""
+    arrays = iter(arrays)
+    values, inner, constant = [], [], []
+    margin = math.inf
+    for kind, w, c in specs:
+        hv = next(arrays)
+        if kind == "nested":
+            if c:
+                hv = np.concatenate([hv, next(arrays)], axis=-1)
+            inner.append(hv)
+            hv, _, inner_margin = batched_reference(hv, masks[1], np.zeros(hv.shape))
+            margin = min(margin, inner_margin)
+        values.append(hv)
+        constant += [kind == "const"] * w + [True] * c
+    out, gh, outer_margin = batched_reference(np.concatenate(values, axis=-1), masks[0], g)
+    part_grads = np.split(gh, np.cumsum([v.shape[-1] for v in values])[:-1], axis=-1)
+    inner = iter(inner)
+    grads = []
+    for (kind, w, _), gp in zip(specs, part_grads):
+        if kind == "param":
+            grads.append(gp)
+        elif kind == "nested":
+            grads.append(batched_reference(next(inner), masks[1], gp)[1][..., :w])
+    last_learned = max((j for j, col in enumerate(constant) if not col), default=-1)
+    return out, grads, min(margin, outer_margin), len(constant) - 1 - last_learned
+
+
+def check_routed_prefix(specs, arrays, masks, g):
+    ref_out, ref_grads, ref_margin, ref_tail = routed_prefix_reference(specs, arrays, masks, g)
+    nested_tails = [c for kind, _, c in specs if kind == "nested"]
+    for track_kinks in (None, False, True):
+        out, tails, grads, margin = routed_prefix_run(specs, arrays, masks, g, track_kinks)
+        assert out.tobytes() == ref_out.tobytes()
+        assert tails == (ref_tail, ref_tail, nested_tails)
+        if track_kinks is not None:
+            assert [gr.tobytes() for gr in grads] == [gr.tobytes() for gr in ref_grads]
+        if track_kinks:
+            assert margin == ref_margin
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(routed_prefix_cases())
+def test_routed_prefix_matches_per_node_reference(case):
+    specs, arrays, masks, g, cells = case
+    with mock.patch.object(ad, "BLOCK_CELLS", cells):
+        check_routed_prefix(specs, arrays, masks, g)
+
+
+@pytest.mark.parametrize("per_sample", [False, True])
+def test_ranks_beyond_uint8_match_per_node_reference(per_sample):
+    # M = 300 needs uint16 ranks; with few distinct values most maxima tie
+    m, b = 300, 2
+    rng = np.random.default_rng(5)
+    specs = [("nested", 2, 1), ("param", 1, 0), ("const", 2, 0)]
+    arrays = [rng.choice(VALUES, (m, b, w)) for w in (2, 1, 1, 2)]
+    masks = [rng.random((b, m, m) if per_sample else (m, m)) < 0.05 for _ in range(2)]
+    for mask in masks:
+        mask[..., np.arange(m), np.arange(m)] = True
+    g = rng.choice(UPSTREAM, (m, b, 6))
+    check_routed_prefix(specs, arrays, masks, g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3, max_side=5),
+                  elements=st.sampled_from(VALUES)))
+def test_max_readout_same_bytes_with_and_without_tape(hv):
+    want = np.take_along_axis(hv, hv.argmax(axis=0)[None], axis=0)[0]
+    margin = ad._distinct_top_gap(hv) if hv.shape[0] > 1 else math.inf
+    for make_input in (ad.constant, ad.parameter):
+        assert ad.readout(make_input(hv), "max").values.tobytes() == want.tobytes()
+        for track_kinks in (False, True):
+            with ad.GradTape(track_kinks=track_kinks) as tape:
+                out = ad.readout(make_input(hv), "max")
+            assert out.values.tobytes() == want.tobytes()
+            if track_kinks:
+                assert tape.max_margin == margin
 
 
 def check_gradients(op, arrays, upstream):

@@ -1,5 +1,6 @@
 """Optimizer, schedule, loop, evaluation, gradient-check, fine-tune tests."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -208,6 +209,14 @@ class TestTrainLoop:
             tr.train(model, ds, tr.TrainConfig(epochs=2, seed=0))
         for name, t in model.registry.items():
             npt.assert_array_equal(t.values, before[name])
+
+    def test_no_trainable_parameter_rejected_before_any_work(self, monkeypatch):
+        model = mm.build_lgrin(small_config())
+        frozen = dataclasses.replace(model, registry={
+            name: ad.constant(t.values) for name, t in model.registry.items()})
+        monkeypatch.setattr(mm, "samples_for", lambda *args: pytest.fail("work started"))
+        with pytest.raises(ConfigError, match="no trainable parameters"):
+            tr.train(frozen, small_dataset(), tr.TrainConfig(epochs=1))
 
     def test_dataset_mismatch_rejected(self):
         model = mm.build_lgrin(small_config())
