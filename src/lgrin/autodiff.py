@@ -25,6 +25,7 @@ tolerances.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from typing import Callable, Sequence
@@ -34,6 +35,36 @@ import numpy as np
 from .errors import ContractError, ShapeError
 
 _local = threading.local()
+
+# glibc's mallopt parameters, from <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap_pages() -> None:
+    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    Every training step frees and then allocates again arrays of the same
+    sizes. Left dynamic, glibc raises the mmap threshold only to the size
+    of the largest block freed, so the next block of exactly that size is
+    again a fresh ``mmap``, and it trims the heap top whenever more than
+    twice the threshold is free. Either way each step's pages go back to
+    the kernel and fault in again. 32 MiB is glibc's own ceiling for the
+    dynamic threshold on 64-bit and 64 MiB keeps its 2x trim ratio; up to
+    that much freed heap stays resident. No arithmetic changes. Without
+    glibc (no ``mallopt`` symbol) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_freed_heap_pages()
 
 
 def _tape_stack() -> list["GradTape"]:

@@ -184,7 +184,15 @@ def train(model: mm.LGrinModel, dataset: GraphDataset,
 
 def confusion_from_predictions(labels: list[int], preds: list[int],
                                c: int) -> dict:
-    """Unweighted accuracy plus confusion[true][pred] counts."""
+    """Accuracies plus confusion[true][pred] counts.
+
+    ``unweighted_accuracy`` is ``trace / total``, the share of samples
+    predicted correctly (what emotion work often calls weighted accuracy);
+    ``per_class_recall[k]`` is the share of class k's samples predicted as
+    k, ``None`` for a class absent from the labels; ``mean_class_recall``
+    is the mean of the present classes' recalls, the unweighted accuracy
+    proper, which differs from ``unweighted_accuracy`` on imbalanced sets.
+    """
     if len(labels) != len(preds):
         raise ContractError(f"{len(labels)} labels for {len(preds)} predictions")
     confusion = np.zeros((c, c), dtype=np.int64)
@@ -192,12 +200,18 @@ def confusion_from_predictions(labels: list[int], preds: list[int],
         confusion[y, pred] += 1
     total = len(labels)
     correct = int(np.trace(confusion))
+    per_class = [int(hits) / int(n) if n else None
+                 for hits, n in zip(np.diag(confusion), confusion.sum(axis=1))]
+    present = [r for r in per_class if r is not None]
     return {"unweighted_accuracy": correct / total if total else 0.0,
+            "per_class_recall": per_class,
+            "mean_class_recall": sum(present) / len(present) if present else 0.0,
             "confusion": confusion.tolist()}
 
 
 def evaluate(model: mm.LGrinModel, samples: list[SequenceSample]) -> dict:
-    """Unweighted accuracy and confusion counts over padded samples.
+    """Accuracies and confusion counts over padded samples (the keys of
+    ``confusion_from_predictions``).
 
     Predictions are the argmax of the logits, lowest index on ties, from
     the chunked forward-only passes.

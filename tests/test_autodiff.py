@@ -1,6 +1,11 @@
 """Tensor engine tests: forward oracles, gradient routing, FD agreement."""
 
+import ctypes
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -349,3 +354,44 @@ class TestTapeMechanics:
         out = ad.relu_affine(ad.constant([[-1.0], [1.0]]), ad.constant([[1.0]]))
         npt.assert_array_equal(out.values, [[0.0], [1.0]])
         assert ad.active_tape() is None and not out.requires_grad
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# Four 3 MiB arrays allocated and freed 20 times, after one warm-up round. A
+# 3 MiB array stays below numpy's 4 MiB huge-page madvise, so base pages are
+# counted: each array that goes back to the kernel costs 768 faults to touch.
+_CHURN = """
+import resource
+import numpy as np
+import lgrin
+
+def churn():
+    for _ in range(20):
+        arrays = [np.ones(3 << 17) for _ in range(4)]
+        del arrays
+
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="no glibc mallopt")
+def test_freed_arrays_stay_in_the_heap():
+    """Importing lgrin pins glibc's mmap and trim thresholds, so arrays of a
+    size freed before are served again from resident heap pages instead of
+    being unmapped or trimmed and then faulted in again."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _CHURN],
+                          env={**os.environ, "PYTHONPATH": pythonpath},
+                          capture_output=True, text=True, check=True)
+    faults = int(proc.stdout)
+    assert faults < 768, f"{faults} minor page faults for arrays freed before"

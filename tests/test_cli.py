@@ -155,6 +155,9 @@ class TestEval:
         metrics = json.loads(capsys.readouterr().out)
         rows = np.array(metrics["confusion"]).sum(axis=1)
         npt.assert_array_equal(rows, [4, 4, 4])
+        hits = np.diag(metrics["confusion"])
+        assert metrics["per_class_recall"] == [int(k) / 4 for k in hits]
+        assert metrics["mean_class_recall"] == sum(metrics["per_class_recall"]) / 3
 
     def test_mismatched_width_exit_2(self, trained, tmp_path):
         ckpt, _ = trained

@@ -255,6 +255,14 @@ class TestEvaluate:
         assert out["unweighted_accuracy"] == 0.75
         assert out["confusion"] == [[2, 1], [0, 1]]
 
+    def test_imbalanced_set_separates_the_two_accuracies(self):
+        # class 0: 2 of 3 right, class 1: 1 of 1 right, class 2 absent
+        out = tr.confusion_from_predictions([0, 0, 0, 1], [0, 0, 1, 1], 3)
+        assert out["unweighted_accuracy"] == 0.75
+        assert out["per_class_recall"] == [2 / 3, 1.0, None]
+        assert out["mean_class_recall"] == (2 / 3 + 1.0) / 2
+        assert out["confusion"] == [[2, 1, 0], [0, 1, 0], [0, 0, 0]]
+
     def test_all_correct_is_diagonal(self):
         out = tr.confusion_from_predictions([0, 1, 2], [0, 1, 2], 3)
         assert out["unweighted_accuracy"] == 1.0
