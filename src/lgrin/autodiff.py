@@ -335,6 +335,24 @@ def concat_features(parts: Sequence[Tensor]) -> Tensor:
     return out
 
 
+def leading_features(h: Tensor, width: int) -> Tensor:
+    """The first ``width`` columns of the last axis of ``h``, as a view.
+
+    Nothing is copied forward; the backward pads the gradient with zeros
+    over the dropped columns.
+    """
+    hv = h.values
+    if not 0 < width <= hv.shape[-1]:
+        raise ShapeError(f"cannot take {width} leading columns of shape {hv.shape}")
+
+    def back(g: np.ndarray):
+        gh = np.zeros(hv.shape)
+        gh[..., :width] = g
+        return (gh,)
+
+    return _emit((h,), hv[..., :width], back)
+
+
 def _tracking_tape() -> "GradTape | None":
     tape = active_tape()
     return tape if tape is not None and tape.track_kinks else None

@@ -201,6 +201,8 @@ def _parse_grid(spec: str, axes: dict[str, list]) -> dict[str, list]:
 
 def cmd_ablate(args) -> int:
     out = _output_file(args.out, "--out")
+    if args.holdout_folds < 2:
+        raise ConfigError(f"--holdout-folds must be at least 2, got {args.holdout_folds}")
     _, run = load_run_config(args.config, args.override)
     base = run["model"]
     base_train = _require(run, "train")

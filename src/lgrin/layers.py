@@ -51,18 +51,33 @@ def gstar_conv(ah: Tensor, branch: Branch) -> Tensor:
 
 
 def inception_layer(h: Tensor, a_eff: Tensor, branch1: Branch, branch2: Branch,
-                    mask: np.ndarray) -> Tensor:
+                    mask: np.ndarray, spanned_tail: int = 0) -> Tensor:
     """Concat of both convolution branches and the 1-hop neighborhood max.
 
     The max branch passes input features through unchanged widths, so the
     output is (M, ..., eta1 + eta2 + F_in) regardless of stacking depth.
+
+    ``spanned_tail`` > 0 says that the last that many columns of ``h`` are
+    a hop max of the sample features whose reach, one hop further through
+    ``mask``, is every node (``model.tail_spans`` decides it). The branch's
+    output there is then each sample's column max of the features at every
+    node, and that is the max over the nodes of ``h``'s tail, since each
+    node reaches itself. So the branch gathers only the leading columns
+    (none at layer 0, whose input is all tail) and broadcasts that max. A
+    max over the same values has the same bits: the input holds no NaN or
+    -0.0.
     """
     ah = ad.propagate(a_eff, h)
-    return ad.concat_features([
-        gstar_conv(ah, branch1),
-        gstar_conv(ah, branch2),
-        ad.neighborhood_max(h, mask),
-    ])
+    parts = [gstar_conv(ah, branch1), gstar_conv(ah, branch2)]
+    if not spanned_tail:
+        parts.append(ad.neighborhood_max(h, mask))
+    else:
+        lead = h.shape[-1] - spanned_tail
+        if lead:
+            parts.append(ad.neighborhood_max(ad.leading_features(h, lead), mask))
+        tail = h.values[..., lead:].max(axis=0)
+        parts.append(ad.constant(np.broadcast_to(tail, h.shape[:-1] + (spanned_tail,))))
+    return ad.concat_features(parts)
 
 
 def pooling_layer(h_k: Tensor, p: Tensor | None, mode: str) -> Tensor:

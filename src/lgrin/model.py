@@ -207,6 +207,31 @@ def _stacked_features(model: LGrinModel, samples: list[SequenceSample]) -> Tenso
     return ad.constant(x)
 
 
+def tail_spans(mask: np.ndarray, layers: int) -> list[bool]:
+    """Per inception layer, whether the max branch's last P output columns
+    are every node's column max of the sample features.
+
+    The max branch passes its input through at full width, so the last P
+    columns of layer k's input are a k-hop max of the features and those
+    of its max output a (k+1)-hop max: node i's max over the nodes it
+    reaches in k+1 steps of ``mask``, R_1 = mask and R_(k+1) = R_k @ mask.
+    Layer k spans when R_(k+1) is all true, in every sample of a (B, M, M)
+    stack of per-sample masks. The products stop once a layer spans, since
+    every later one does (each node is its own neighbour). A kink-tracking
+    tape gets no spanning layer, so it reads every column's tie margin.
+    """
+    tape = ad.active_tape()
+    if tape is not None and tape.track_kinks:
+        return [False] * layers
+    step = mask.astype(np.float64)
+    reach, spans = step, []
+    for k in range(layers):
+        if k and not spans[-1]:
+            reach = np.minimum(reach @ step, 1.0)
+        spans.append(bool(reach.all()))
+    return spans
+
+
 def forward_shared(model: LGrinModel, samples: list[SequenceSample]
                    ) -> tuple[Tensor | None, Tensor, Tensor]:
     """One forward graph for a minibatch: (shared adjacency, logits, embeddings).
@@ -216,7 +241,10 @@ def forward_shared(model: LGrinModel, samples: list[SequenceSample]
     their gradients into the single raw adjacency parameter. The logits are
     (B, C) and the final node embeddings (M, B, Q). The first element is
     None when the adjacency is per-sample (weighted); the forward then
-    runs on a (B, M, M) stack of the samples' own adjacencies.
+    runs on a (B, M, M) stack of the samples' own adjacencies. At a layer
+    whose max branch spans the graph (``tail_spans``), that branch gathers
+    only the columns before the last P and gives every node the column max
+    of those P, the same bits as the gather.
     """
     h = _stacked_features(model, samples)
     reg = model.registry
@@ -229,9 +257,10 @@ def forward_shared(model: LGrinModel, samples: list[SequenceSample]
         a = (a_eff if a_eff is not None
              else adjmod.fixed_adjacency("weighted", model.config.m, h))
         mask = adjmod.neighbor_mask(a, model.config.mask_threshold)
+        spans = tail_spans(mask, model.config.inception_layers)
         for k in range(model.config.inception_layers):
             branches = [tuple(reg[key] for key in _branch_keys(k, b)) for b in (1, 2)]
-            h = L.inception_layer(h, a, *branches, mask)
+            h = L.inception_layer(h, a, *branches, mask, model.config.p if spans[k] else 0)
         pooled = L.pooling_layer(h, reg.get("pooling.p"), model.config.pooling_mode)
     return a_eff, ad.relu_affine(pooled, reg["head.w"], reg["head.b"], relu=False), h
 

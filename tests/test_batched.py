@@ -1,15 +1,20 @@
 """The batched (M, B, F) forward against the per-sample reference."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import per_sample_reference as ref
+from lgrin import adjacency as adjmod
 from lgrin import autodiff as ad
+from lgrin import layers as L
 from lgrin import model as mm
 from lgrin import training as tr
-from lgrin.data import SequenceSample
+from lgrin.data import SequenceSample, SynthSpec, synth_generate
 from lgrin.objective import LossWeights
 from upstream import dot
 
@@ -98,18 +103,30 @@ def test_finite_differences_only_at_the_accepted_point(monkeypatch):
 
 
 def test_one_tape_per_minibatch():
+    # at M=24, seed 0, no layer spans (21 of 24 rows reach every node in two
+    # hops); at M=32 layer 1 spans and adds one leading_features node; the
+    # weighted mask is complete, so layer 0 records no neighborhood_max
     counts = {}
-    for arch in ("lgrin", "baseline_gcn"):
-        config = mm.ModelConfig(m=24, p=8, c=4, inception_layers=2,
-                                etas=[(16, 8), (16, 8)], arch=arch)
+    for name, arch, m, mode in [("lgrin", "lgrin", 24, "learnable"),
+                                ("baseline_gcn", "baseline_gcn", 24, "learnable"),
+                                ("spans-at-1", "lgrin", 32, "learnable"),
+                                ("spans-at-0", "lgrin", 24, "weighted")]:
+        config = mm.ModelConfig(m=m, p=8, c=4, inception_layers=2,
+                                etas=[(16, 8), (16, 8)], adjacency_mode=mode, arch=arch)
+        model = mm.BUILDERS[arch](config)
         for n in (1, 16):
-            model = mm.BUILDERS[arch](config)
             batch = samples(config, n)
+            if arch == "lgrin":
+                assert spanning_layers(model, batch) == {"lgrin": [False, False],
+                                                         "spans-at-1": [False, True],
+                                                         "spans-at-0": [True, True]}[name]
             with ad.GradTape() as tape:
                 mm.loss(model, batch, LossWeights())
-            counts[arch, n] = len(tape.nodes)
+            counts[name, n] = len(tape.nodes)
     assert counts == {("lgrin", 1): 23, ("lgrin", 16): 23,
-                      ("baseline_gcn", 1): 9, ("baseline_gcn", 16): 9}
+                      ("baseline_gcn", 1): 9, ("baseline_gcn", 16): 9,
+                      ("spans-at-1", 1): 24, ("spans-at-1", 16): 24,
+                      ("spans-at-0", 1): 22, ("spans-at-0", 16): 22}
 
 
 def test_chunked_forward_covers_every_sample_once():
@@ -218,3 +235,144 @@ def test_routed_prefix_keeps_every_bit_of_a_three_layer_step(adjacency_mode, poo
     assert tails == [0, config.p, config.p]
     monkeypatch.setattr(ad, "neighborhood_max", route_every_column)
     assert got == step()
+
+
+def gathering_forward(model, samples):
+    """``model.forward_shared`` of an lgrin model as it was before spanning
+    layers: every max branch gathers every column of its input."""
+    h = mm._stacked_features(model, samples)
+    reg = model.registry
+    a_eff = mm.shared_effective_adjacency(model)
+    a = a_eff if a_eff is not None else adjmod.fixed_adjacency("weighted", model.config.m, h)
+    mask = adjmod.neighbor_mask(a, model.config.mask_threshold)
+    for k in range(model.config.inception_layers):
+        ah = ad.propagate(a, h)
+        h = ad.concat_features([
+            L.gstar_conv(ah, tuple(reg[key] for key in mm._branch_keys(k, b)))
+            for b in (1, 2)] + [ad.neighborhood_max(h, mask)])
+    pooled = L.pooling_layer(h, reg.get("pooling.p"), model.config.pooling_mode)
+    return a_eff, ad.relu_affine(pooled, reg["head.w"], reg["head.b"], relu=False), h
+
+
+def spanning_layers(model, batch):
+    """Per layer, whether every node reaches every node in k+1 hops of the
+    mask (of every sample), from integer matrix powers."""
+    cfg = model.config
+    a = mm.shared_effective_adjacency(model)
+    if a is None:
+        a = adjmod.fixed_adjacency("weighted", cfg.m, mm._stacked_features(model, batch))
+    masks = adjmod.neighbor_mask(a, cfg.mask_threshold).reshape(-1, cfg.m, cfg.m)
+    return [all((np.linalg.matrix_power(s.astype(np.int64), k + 1) > 0).all() for s in masks)
+            for k in range(cfg.inception_layers)]
+
+
+def step_bits(model, batch, track_kinks=False):
+    """Loss, logits, margins, every registry gradient, then the logits and
+    final embeddings of a forward-only pass, all as bytes; and the width of
+    every ``neighborhood_max`` input, in call order."""
+    widths, real = [], ad.neighborhood_max
+
+    def neighborhood_max(h, mask):
+        widths.append(h.shape[-1])
+        return real(h, mask)
+
+    with mock.patch.object(ad, "neighborhood_max", neighborhood_max):
+        with ad.GradTape(track_kinks=track_kinks) as tape:
+            loss, logits = mm.loss(model, batch, LossWeights())
+        grads = tr.registry_grads(model.registry, ad.backward(loss, tape))
+        _, plain_logits, embeddings = mm.forward_shared(model, batch)
+    return ([loss.values.tobytes(), logits.values.tobytes(), tape.max_margin, tape.relu_margin]
+            + [grads[name].tobytes() for name in model.registry]
+            + [plain_logits.values.tobytes(), embeddings.values.tobytes()]), widths
+
+
+def gathering_bits(model, batch, track_kinks=False):
+    with mock.patch.object(mm, "forward_shared", gathering_forward):
+        return step_bits(model, batch, track_kinks)
+
+
+@pytest.mark.parametrize("adjacency_mode, spans", [("learnable", [False, True]),
+                                                   ("weighted", [True, True])])
+def test_kink_tracking_tape_gathers_every_column(adjacency_mode, spans):
+    # the margins of a kink-tracking tape read every column's ties, so such
+    # a tape takes the full path even where the layers span
+    config = mm.ModelConfig(m=8, p=4, c=3, inception_layers=2, etas=((6, 4), (5, 3)),
+                            adjacency_mode=adjacency_mode, seed=0)
+    model, batch = mm.build_lgrin(config), samples(config, 3)
+    assert spanning_layers(model, batch) == spans
+    got, widths = step_bits(model, batch, track_kinks=True)
+    want, full = gathering_bits(model, batch, track_kinks=True)
+    # the taped calls come first; the forward-only pass after them spans
+    assert got == want and widths[:2] == full[:2] == [4, 14]
+    assert widths[2:] == [4, 10][spans[0]:]
+
+
+@pytest.mark.parametrize("adjacency_mode", ["learnable", "weighted"])
+def test_fine_tuned_head_trains_as_with_gathering_forward(adjacency_mode, tmp_path):
+    # the frozen body makes every column of every layer input constant, so
+    # const_tail covers them all; the spanned tail is still the last P
+    config = mm.ModelConfig(m=8, p=4, c=3, inception_layers=2, etas=((6, 4), (5, 3)),
+                            adjacency_mode=adjacency_mode, seed=0)
+    target = synth_generate(SynthSpec(num_classes=2, per_class=6, m=8, p=4, noise=0.3,
+                                      seed=9))
+    base = mm.build_lgrin(config)
+    assert spanning_layers(base, mm.samples_for(base, target))[1]
+    runs = []
+    for forward in (mm.forward_shared, gathering_forward):
+        with mock.patch.object(mm, "forward_shared", forward):
+            tuned, report = tr.fine_tune_head(base, target, tr.TrainConfig(epochs=3,
+                                                                          batch_size=5))
+        path = mm.save_checkpoint(tuned, tmp_path / f"{len(runs)}.npz")
+        runs.append(([x.hex() for x in report.loss_curve], path.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+def test_three_layers_hand_the_spanning_layer_the_prefix_of_their_max():
+    # layer 1 does not span and layer 2 does: layer 2's routed prefix holds
+    # layer 1's branches and the leading columns of layer 1's own max
+    config = mm.ModelConfig(m=24, p=8, c=4, inception_layers=3,
+                            etas=((6, 4), (5, 3), (4, 2)), seed=0)
+    model, batch = mm.build_lgrin(config), samples(config, 5)
+    assert spanning_layers(model, batch) == [False, False, True]
+    got, widths = step_bits(model, batch)
+    want, full = gathering_bits(model, batch)
+    assert got == want
+    # three taped calls, then three forward-only ones; layer 2 drops its tail
+    assert full == [8, 18, 26] * 2 and widths == [8, 18, 18] * 2
+
+
+FEATURES = (0.0, 1.0, -1.0, 0.5, -2.5, 3.0)
+
+
+@st.composite
+def spanning_cases(draw):
+    m, p, layers = draw(st.integers(2, 12)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    config = mm.ModelConfig(
+        m=m, p=p, c=3, inception_layers=layers,
+        etas=[(draw(st.integers(1, 4)), draw(st.integers(1, 4))) for _ in range(layers)],
+        adjacency_mode=draw(st.sampled_from(mm.ADJACENCY_MODES)),
+        pooling_mode=draw(st.sampled_from(L.POOLING_MODES)),
+        # a complete mask, thinner ones, and the diagonal alone
+        mask_threshold=draw(st.sampled_from([0.0, 0.3, 1.0, 3.0, 1e9])),
+        seed=draw(st.integers(0, 3)))
+    batch = [SequenceSample(np.array(draw(st.lists(st.sampled_from(FEATURES), min_size=m * p,
+                                                   max_size=m * p))).reshape(m, p),
+                            draw(st.integers(0, 2)), f"s{i}")
+             for i in range(draw(st.integers(1, 3)))]
+    return config, batch
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spanning_cases())
+def test_spanning_layers_keep_every_bit_of_the_gathering_forward(case):
+    config, batch = case
+    model = mm.build_lgrin(config)
+    got, widths = step_bits(model, batch)
+    want, full = gathering_bits(model, batch)
+    assert got == want
+    # a spanning layer gathers only the columns before its last P, and
+    # layer 0, whose input is all tail, gathers none
+    spans = spanning_layers(model, batch)
+    expected = [f - config.p if span else f
+                for f, span in zip(config.layer_widths(), spans) if not (span and f == config.p)]
+    assert full == config.layer_widths()[:-1] * 2 and widths == expected * 2

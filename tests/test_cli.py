@@ -641,6 +641,14 @@ ERROR_TABLE = [
     ("grid-file-missing", ABLATE + " @{r}/missing.json", 2, "grid file not found"),
     ("grid-file-not-utf8", ABLATE + " @{r}/latin1.json", 2, "grid file is not UTF-8 text"),
     ("grid-too-deep", ABLATE + " @{r}/deep.json", 1, "grid spec: " + TOO_DEEP),
+    # fewer than two folds is a usage error, found before the config is read;
+    # more folds than samples is a data error
+    ("holdout-folds-one", "ablate --config {r}/missing.json --grid {{}} --out {r}/grid.csv "
+     "--holdout-folds 1", 1, "--holdout-folds must be at least 2, got 1"),
+    ("holdout-folds-zero", ABLATE + " {{}} --holdout-folds 0",
+     1, "--holdout-folds must be at least 2, got 0"),
+    ("holdout-folds-above-samples", ABLATE + " {{}} --holdout-folds 13",
+     2, "k=13 is not in [2, 12]"),
     ("manifest-missing", EVAL + " {r}/missing.json", 2, "manifest not found"),
     ("manifest-not-json", EVAL + " {r}/broken/manifest.json", 2, "invalid JSON"),
     ("manifest-not-utf8", EVAL + " {r}/latin1.json", 2, "manifest is not UTF-8 text"),
