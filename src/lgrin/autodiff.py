@@ -39,10 +39,12 @@ _local = threading.local()
 # glibc's mallopt parameters, from <malloc.h>.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_heap_pages() -> None:
-    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+    """Pin glibc's mmap threshold at 32 MiB, its trim threshold at 64 MiB
+    and its arena count at one.
 
     Every training step frees and then allocates again arrays of the same
     sizes. Left dynamic, glibc raises the mmap threshold only to the size
@@ -51,8 +53,10 @@ def _keep_freed_heap_pages() -> None:
     twice the threshold is free. Either way each step's pages go back to
     the kernel and fault in again. 32 MiB is glibc's own ceiling for the
     dynamic threshold on 64-bit and 64 MiB keeps its 2x trim ratio; up to
-    that much freed heap stays resident. No arithmetic changes. Without
-    glibc (no ``mallopt`` symbol) this does nothing.
+    that much freed heap stays resident. The one arena keeps the thread
+    that ``layers.inception_layer`` may start from holding a second heap
+    of its own. No arithmetic changes. Without glibc (no ``mallopt``
+    symbol) this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -62,6 +66,7 @@ def _keep_freed_heap_pages() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_heap_pages()
@@ -220,30 +225,37 @@ def propagate(a: Tensor, h: Tensor) -> Tensor:
     (M, B, F) batch. The backward skips the gradient of an input that does
     not require one.
     """
-    av, hv = a.values, h.values
+    out, back = _propagate(a.values, h.values)
+    return _emit((a, h), out, lambda g: back(g, a.requires_grad, h.requires_grad))
+
+
+def _propagate(av: np.ndarray, hv: np.ndarray):
+    """``propagate`` on arrays: ``A @ H`` and its backward
+    ``back(g, need_a, need_h)``, which gives (gradient of A or None,
+    gradient of H or None). It reads no tape, so any thread may run it."""
     m = hv.shape[0]
-    if av.ndim == 2 and av.shape == (m, m):
+    if av.shape == (m, m):
         h2 = hv.reshape(m, -1)
         out = (av @ h2).reshape(hv.shape)
 
-        def back(g: np.ndarray):
+        def back(g: np.ndarray, need_a: bool, need_h: bool):
             g2 = g.reshape(m, -1)
-            return (g2 @ h2.T if a.requires_grad else None,
-                    (av.T @ g2).reshape(hv.shape) if h.requires_grad else None)
+            return (g2 @ h2.T if need_a else None,
+                    (av.T @ g2).reshape(hv.shape) if need_h else None)
     elif av.ndim == 3 and hv.ndim == 3 and av.shape == (hv.shape[1], m, m):
         # one (M, M) @ (M, F) product per sample
         hb = hv.transpose(1, 0, 2)
         out = np.ascontiguousarray((av @ hb).transpose(1, 0, 2))
 
-        def back(g: np.ndarray):
+        def back(g: np.ndarray, need_a: bool, need_h: bool):
             gb = g.transpose(1, 0, 2)
-            return (gb @ hb.transpose(0, 2, 1) if a.requires_grad else None,
+            return (gb @ hb.transpose(0, 2, 1) if need_a else None,
                     np.ascontiguousarray((av.transpose(0, 2, 1) @ gb).transpose(1, 0, 2))
-                    if h.requires_grad else None)
+                    if need_h else None)
     else:
         raise ShapeError(f"propagate shapes do not match: adjacency {av.shape}, "
                          f"features {hv.shape}")
-    return _emit((a, h), out, back)
+    return out, back
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -261,9 +273,44 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def _track_relu_margin(pre: np.ndarray) -> None:
     """On a kink-tracking tape, note how close ``pre`` came to ReLU's kink."""
-    tracker = _tracking_tape()
-    if tracker is not None and pre.size:
-        tracker.relu_margin = min(tracker.relu_margin, float(np.min(np.abs(pre))))
+    if _tracking_tape() is not None and pre.size:
+        _track_relu_margins([float(np.min(np.abs(pre)))])
+
+
+def _track_relu_margins(margins: Sequence[float] | None) -> None:
+    """On a kink-tracking tape, fold in ``margins`` (distances to ReLU's
+    kink that ``_affine`` collected), in order."""
+    tracker = _tracking_tape() if margins else None
+    if tracker is not None:
+        for margin in margins:
+            tracker.relu_margin = min(tracker.relu_margin, margin)
+
+
+def _affine(x2: np.ndarray, w: np.ndarray, b: np.ndarray | None, relu: bool,
+            margins: list[float] | None = None) -> np.ndarray:
+    """``x2 @ w + b`` for a 2-D ``x2``, rectified in place when ``relu``
+    (NaN and -0.0 become 0.0); a ``margins`` list first gets the smallest
+    ``|x2 @ w + b|``. It reads no tape, so any thread may run it."""
+    out = x2 @ w
+    if b is not None:
+        out += b
+    if relu:
+        if margins is not None and out.size:
+            margins.append(float(np.min(np.abs(out))))
+        np.fmax(out, 0.0, out=out)  # NaN -> 0.0
+        out += 0.0  # -0.0 -> 0.0
+    return out
+
+
+def _affine_back(gz: np.ndarray, positive: np.ndarray | None, x2: np.ndarray, w: np.ndarray,
+                 need_x: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Backward of ``_affine`` for the 2-D upstream ``gz``: (gradient of the
+    pre-activation, of ``x2`` or None unless ``need_x``, of ``w``).
+    ``positive`` is the ReLU mask ``out > 0``, None without the ReLU; the
+    bias gradient is the first one summed over rows."""
+    if positive is not None:
+        gz = gz * positive
+    return gz, gz @ w.T if need_x else None, x2.T @ gz
 
 
 def relu_affine(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -286,20 +333,14 @@ def relu_affine(x: Tensor, w: Tensor, b: Tensor | None = None,
     if b is not None and b.shape != (n,):
         raise ShapeError(f"relu_affine bias {b.shape} does not match width {n}")
     x2 = xv.reshape(-1, f)
-    out = x2 @ wv
-    if b is not None:
-        out += b.values
-    if relu:
-        _track_relu_margin(out)
-        np.fmax(out, 0.0, out=out)  # NaN -> 0.0
-        out += 0.0  # -0.0 -> 0.0
+    margins = [] if relu and _tracking_tape() is not None else None
+    out = _affine(x2, wv, None if b is None else b.values, relu, margins)
+    _track_relu_margins(margins)
 
     def back(g: np.ndarray):
-        gz = g.reshape(-1, n)
-        if relu:
-            gz = gz * (out > 0.0)
-        gx = (gz @ wv.T).reshape(xv.shape) if x.requires_grad else None
-        grads = (gx, x2.T @ gz)
+        gz, gx, gw = _affine_back(g.reshape(-1, n), out > 0.0 if relu else None, x2, wv,
+                                  x.requires_grad)
+        grads = (None if gx is None else gx.reshape(xv.shape), gw)
         return grads if b is None else grads + (gz.sum(axis=0),)
 
     inputs = (x, w) if b is None else (x, w, b)

@@ -33,6 +33,9 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+# how numpy's ValueError begins when an array's byte count overflows
+_NUMPY_TOO_BIG = ("array is too big", "Maximum allowed size exceeded")
+
 _ABLATE_COLUMNS = ("adjacency_mode", "pooling_mode", "etas", "layers",
                    "lambda1", "lambda2", "lambda3", "accuracy",
                    "parameter_count", "model_seed", "train_seed")
@@ -144,6 +147,7 @@ def cmd_train(args) -> int:
     config = run["model"]
     cfg = _require(run, "train")
     ds = _dataset(_require(run, "data"))
+    mm.check_dataset(config, ds)  # before the model is built
     out_dir = _require(run, "output_dir")
     out_dir.mkdir(parents=True, exist_ok=True)  # fail on it before training
     model, report = tr.train(mm.BUILDERS[config.arch](config), ds, cfg)
@@ -406,6 +410,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except LgrinError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (MemoryError, ValueError) as exc:
+        # numpy cannot hold an array of the sizes asked for: a ValueError
+        # when the byte count overflows, a MemoryError when it cannot be had
+        if isinstance(exc, ValueError) and not str(exc).startswith(_NUMPY_TOO_BIG):
+            raise
+        print(f"error: sizes too large for memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

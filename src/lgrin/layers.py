@@ -17,6 +17,10 @@ the per-node weight vector p. The model's registry owns every tensor.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+
 import numpy as np
 
 from . import autodiff as ad
@@ -39,15 +43,75 @@ def init_branch(f_in: int, eta: int, rng: np.random.Generator) -> Branch:
             ad.parameter(xavier_uniform(rng, eta, eta)), ad.parameter(np.zeros(eta)))
 
 
-def gstar_conv(ah: Tensor, branch: Branch) -> Tensor:
-    """Spectral graph convolution ReLU(MLP(A_eff @ H)), output width eta.
+# First-layer multiply-adds, h.size * (eta1 + eta2), from which an
+# inception layer runs its convolution branches on a worker thread. On 2
+# CPUs with 1 BLAS thread, a facial-scale layer-0 sample (2.35 M) ran 4-11%
+# slower there and two samples (4.7 M) 4-6% faster; gen-scale layers (at
+# most 0.3 M) ran 60-90% slower, so they stay on the calling thread.
+THREAD_WORK = 1 << 22
+_worker = None
+_worker_lock = threading.Lock()
 
-    Takes the propagated features ``ah = A_eff @ H``, which an inception
-    layer computes once for both of its branches. Each of the two weight
-    layers is one fused ``ReLU(x @ W + b)`` tape node.
+
+def _pool():
+    """The one worker thread's executor, started on the first offloaded call."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="lgrin-conv")
+    return _worker
+
+
+def _conv_branches(a: Tensor, h: Tensor, branches: tuple[Branch, Branch],
+                   margins: list[float] | None):
+    """``A @ H`` and both two-layer convolution branches on it, in numpy only.
+
+    Returns the branches' outputs side by side, (M, ..., eta1 + eta2), and
+    the closed-form backward over (a, h, *branch1, *branch2). Both use the
+    expressions of ``ad.propagate`` and four ``ad.relu_affine`` nodes, and
+    the gradient of ``A @ H`` is the sum of the two branches' terms, so
+    every bit is theirs. Nothing here reads the tape or calls a public
+    lgrin function, so the worker thread may run it; a ``margins`` list
+    collects the four ReLU margins in tape order.
     """
-    w1, b1, w2, b2 = branch
-    return ad.relu_affine(ad.relu_affine(ah, w1, b1), w2, b2)
+    ah, propagate_back = ad._propagate(a.values, h.values)
+    x = ah.reshape(-1, ah.shape[-1])
+    e1 = branches[0][2].shape[1]
+    cols = (slice(None, e1), slice(e1, None))
+    out = np.empty((x.shape[0], e1 + branches[1][2].shape[1]))
+    hidden, positive = [], []  # per branch: first layer's output, second's ReLU mask
+    for (w1, b1, w2, b2), col in zip(branches, cols):
+        hidden.append(ad._affine(x, w1.values, b1.values, True, margins))
+        out[:, col] = c = ad._affine(hidden[-1], w2.values, b2.values, True, margins)
+        positive.append(c > 0.0)
+    need_ah = a.requires_grad or h.requires_grad
+
+    def branch_back(g: np.ndarray, positive: np.ndarray, z: np.ndarray, w1: Tensor,
+                    b1: Tensor, w2: Tensor):
+        """One branch's (w1, b1, w2, b2) gradients, and its term of the
+        gradient of ``A @ H`` or None."""
+        need_z = need_ah or w1.requires_grad or b1.requires_grad
+        gz, gz_in, gw2 = ad._affine_back(g, positive, z, w2.values, need_z)
+        if not need_z:
+            return [None, None, gw2, gz.sum(axis=0)], None
+        gz1, gx, gw1 = ad._affine_back(gz_in, z > 0.0, x, w1.values, need_ah)
+        return [gw1, gz1.sum(axis=0), gw2, gz.sum(axis=0)], gx
+
+    def back(g: np.ndarray):
+        g2 = g.reshape(out.shape)
+        grads, g_ah = [], None
+        for (w1, b1, w2, _), z, pos, col in zip(branches, hidden, positive, cols):
+            branch_grads, gx = branch_back(g2[:, col], pos, z, w1, b1, w2)
+            grads += branch_grads
+            if gx is not None:  # the first term is made here, so it takes the second in place
+                g_ah = gx if g_ah is None else np.add(g_ah, gx, out=g_ah)
+        del gx  # before the backward of A @ H allocates the gradient of H
+        ga_gh = (propagate_back(g_ah.reshape(ah.shape), a.requires_grad, h.requires_grad)
+                 if need_ah else (None, None))
+        return (*ga_gh, *grads)
+
+    return out.reshape(ah.shape[:-1] + (out.shape[1],)), back
 
 
 def inception_layer(h: Tensor, a_eff: Tensor, branch1: Branch, branch2: Branch,
@@ -56,6 +120,17 @@ def inception_layer(h: Tensor, a_eff: Tensor, branch1: Branch, branch2: Branch,
 
     The max branch passes input features through unchanged widths, so the
     output is (M, ..., eta1 + eta2 + F_in) regardless of stacking depth.
+
+    ``A @ H`` and both two-weight-layer convolution branches on it are one
+    tape node, recorded after the max branch's nodes. When its first-layer
+    GEMMs hold at least ``THREAD_WORK`` multiply-adds
+    (``h.size * (eta1 + eta2)``) and the process may run on two CPUs or
+    more, that node's forward runs on one worker thread, in a copy of the
+    caller's context (so ``np.errstate`` holds there), while this thread
+    runs the max branch: numpy's BLAS calls release the GIL, and the max
+    branch's node loop holds it between numpy calls. An exception on the
+    worker is raised here. Both paths compute the same arrays and record
+    the same tape, so no bit depends on which one ran.
 
     ``spanned_tail`` > 0 says that the last that many columns of ``h`` are
     a hop max of the sample features whose reach, one hop further through
@@ -67,17 +142,25 @@ def inception_layer(h: Tensor, a_eff: Tensor, branch1: Branch, branch2: Branch,
     max over the same values has the same bits: the input holds no NaN or
     -0.0.
     """
-    ah = ad.propagate(a_eff, h)
-    parts = [gstar_conv(ah, branch1), gstar_conv(ah, branch2)]
+    branches = (branch1, branch2)
+    margins = [] if ad._tracking_tape() is not None else None
+    job = None
+    if (h.values.size * (branch1[0].shape[1] + branch2[0].shape[1]) >= THREAD_WORK
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1):
+        job = _pool().submit(contextvars.copy_context().run, _conv_branches,
+                             a_eff, h, branches, margins)
     if not spanned_tail:
-        parts.append(ad.neighborhood_max(h, mask))
+        parts = [ad.neighborhood_max(h, mask)]
     else:
         lead = h.shape[-1] - spanned_tail
-        if lead:
-            parts.append(ad.neighborhood_max(ad.leading_features(h, lead), mask))
+        parts = [ad.neighborhood_max(ad.leading_features(h, lead), mask)] if lead else []
         tail = h.values[..., lead:].max(axis=0)
         parts.append(ad.constant(np.broadcast_to(tail, h.shape[:-1] + (spanned_tail,))))
-    return ad.concat_features(parts)
+    out, back = (job.result() if job is not None
+                 else _conv_branches(a_eff, h, branches, margins))
+    ad._track_relu_margins(margins)
+    convs = ad._emit((a_eff, h, *branch1, *branch2), out, back)
+    return ad.concat_features([convs, *parts])
 
 
 def pooling_layer(h_k: Tensor, p: Tensor | None, mode: str) -> Tensor:

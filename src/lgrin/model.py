@@ -13,7 +13,7 @@ readout). This is the only module that tells them apart: ``BUILDERS``
 maps each architecture name to its constructor, ``forward_shared`` is
 the one forward pass for both (one graph per minibatch), and ``loss`` is
 the one training objective, with the graph-learning terms each model
-trains. ``samples_for`` is the one check that a dataset fits a model.
+trains. ``check_dataset`` is the one check that a dataset fits a model.
 """
 
 from __future__ import annotations
@@ -175,18 +175,21 @@ def shared_effective_adjacency(model: LGrinModel) -> Tensor | None:
     return adjmod.effective_adjacency(raw) if raw is not None else model.graph
 
 
-def samples_for(model: LGrinModel, dataset: GraphDataset) -> list[SequenceSample]:
-    """The dataset's samples padded to M; a DataError unless its
-    (target_length, feature_dim) is the model's (m, p) and its classes fit
-    the head."""
-    cfg = model.config
+def check_dataset(cfg: ModelConfig, dataset: GraphDataset) -> None:
+    """A DataError unless the dataset's (target_length, feature_dim) is the
+    config's (m, p) and its classes fit the head."""
     if (dataset.target_length, dataset.feature_dim) != (cfg.m, cfg.p):
         raise DataError(f"dataset ({dataset.target_length}, {dataset.feature_dim}) "
                         f"does not match model ({cfg.m}, {cfg.p})")
     if dataset.num_classes > cfg.c:
         raise DataError(f"dataset has {dataset.num_classes} classes, "
                         f"model head only {cfg.c}")
-    return [pad_or_truncate(s, cfg.m) for s in dataset.samples]
+
+
+def samples_for(model: LGrinModel, dataset: GraphDataset) -> list[SequenceSample]:
+    """The dataset's samples padded to M, once ``check_dataset`` passes."""
+    check_dataset(model.config, dataset)
+    return [pad_or_truncate(s, model.config.m) for s in dataset.samples]
 
 
 def _stacked_features(model: LGrinModel, samples: list[SequenceSample]) -> Tensor:
@@ -232,7 +235,22 @@ def tail_spans(mask: np.ndarray, layers: int) -> list[bool]:
     return spans
 
 
-def forward_shared(model: LGrinModel, samples: list[SequenceSample]
+def _graph(model: LGrinModel, h: Tensor | None) -> tuple:
+    """(shared adjacency, adjacency the layers read, its neighbour mask, per
+    layer whether the max branch's tail spans): one forward pass's graph.
+
+    The GCN reads its constant graph and has no mask. A weighted lgrin
+    model's graph comes from the features ``h``; the other modes ignore it.
+    """
+    a_eff = shared_effective_adjacency(model)
+    if model.config.arch == "baseline_gcn":
+        return a_eff, a_eff, None, None
+    a = a_eff if a_eff is not None else adjmod.fixed_adjacency("weighted", model.config.m, h)
+    mask = adjmod.neighbor_mask(a, model.config.mask_threshold)
+    return a_eff, a, mask, tail_spans(mask, model.config.inception_layers)
+
+
+def forward_shared(model: LGrinModel, samples: list[SequenceSample], graph: tuple | None = None
                    ) -> tuple[Tensor | None, Tensor, Tensor]:
     """One forward graph for a minibatch: (shared adjacency, logits, embeddings).
 
@@ -244,20 +262,17 @@ def forward_shared(model: LGrinModel, samples: list[SequenceSample]
     runs on a (B, M, M) stack of the samples' own adjacencies. At a layer
     whose max branch spans the graph (``tail_spans``), that branch gathers
     only the columns before the last P and gives every node the column max
-    of those P, the same bits as the gather.
+    of those P, the same bits as the gather. ``graph`` is ``_graph``'s
+    value for these samples, computed here when None.
     """
     h = _stacked_features(model, samples)
     reg = model.registry
-    a_eff = shared_effective_adjacency(model)
+    a_eff, a, mask, spans = graph if graph is not None else _graph(model, h)
     if model.config.arch == "baseline_gcn":
         for key in ("gcn.w0", "gcn.w1"):
-            h = L.gcn_layer(h, a_eff, reg[key])
+            h = L.gcn_layer(h, a, reg[key])
         pooled = ad.concat_features([ad.readout(h, "max"), ad.readout(h, "mean")])
     else:
-        a = (a_eff if a_eff is not None
-             else adjmod.fixed_adjacency("weighted", model.config.m, h))
-        mask = adjmod.neighbor_mask(a, model.config.mask_threshold)
-        spans = tail_spans(mask, model.config.inception_layers)
         for k in range(model.config.inception_layers):
             branches = [tuple(reg[key] for key in _branch_keys(k, b)) for b in (1, 2)]
             h = L.inception_layer(h, a, *branches, mask, model.config.p if spans[k] else 0)
@@ -270,9 +285,13 @@ def forward_chunks(model: LGrinModel, samples: list[SequenceSample]):
 
     Yields (logits, final node embeddings) per chunk, so evaluation and
     saliency hold one chunk's activations at a time, not the whole set's.
+    The graph is computed once for all chunks, except a weighted lgrin
+    model's, which each chunk's features give.
     """
+    per_sample = model.config.arch == "lgrin" and model.config.adjacency_mode == "weighted"
+    graph = None if per_sample else _graph(model, None)
     for start in range(0, len(samples), FORWARD_CHUNK):
-        yield forward_shared(model, samples[start:start + FORWARD_CHUNK])[1:]
+        yield forward_shared(model, samples[start:start + FORWARD_CHUNK], graph)[1:]
 
 
 def loss(model: LGrinModel, samples: list[SequenceSample],

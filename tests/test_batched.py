@@ -103,9 +103,11 @@ def test_finite_differences_only_at_the_accepted_point(monkeypatch):
 
 
 def test_one_tape_per_minibatch():
-    # at M=24, seed 0, no layer spans (21 of 24 rows reach every node in two
-    # hops); at M=32 layer 1 spans and adds one leading_features node; the
-    # weighted mask is complete, so layer 0 records no neighborhood_max
+    # each inception layer records its max branch, one node for A @ H and
+    # both convolution branches, and the concatenation; at M=24, seed 0, no
+    # layer spans (21 of 24 rows reach every node in two hops); at M=32
+    # layer 1 spans and adds one leading_features node; the weighted mask is
+    # complete, so layer 0 records no neighborhood_max
     counts = {}
     for name, arch, m, mode in [("lgrin", "lgrin", 24, "learnable"),
                                 ("baseline_gcn", "baseline_gcn", 24, "learnable"),
@@ -123,10 +125,10 @@ def test_one_tape_per_minibatch():
             with ad.GradTape() as tape:
                 mm.loss(model, batch, LossWeights())
             counts[name, n] = len(tape.nodes)
-    assert counts == {("lgrin", 1): 23, ("lgrin", 16): 23,
+    assert counts == {("lgrin", 1): 15, ("lgrin", 16): 15,
                       ("baseline_gcn", 1): 9, ("baseline_gcn", 16): 9,
-                      ("spans-at-1", 1): 24, ("spans-at-1", 16): 24,
-                      ("spans-at-0", 1): 22, ("spans-at-0", 16): 22}
+                      ("spans-at-1", 1): 16, ("spans-at-1", 16): 16,
+                      ("spans-at-0", 1): 14, ("spans-at-0", 16): 14}
 
 
 def test_chunked_forward_covers_every_sample_once():
@@ -139,6 +141,29 @@ def test_chunked_forward_covers_every_sample_once():
     assert_close(np.concatenate([lg.values for lg, _ in chunks]), whole, "logits")
     assert mm.salient_nodes(model, batch) == [mm.salient_nodes(model, [s])[0]
                                               for s in batch]
+
+
+@pytest.mark.parametrize("adjacency_mode, graphs", [("learnable", 1), ("binary", 1),
+                                                    ("weighted", 3)])
+def test_chunked_forward_computes_a_shared_graph_once(adjacency_mode, graphs, monkeypatch):
+    # three chunks; a weighted graph comes from each chunk's features
+    config = mm.ModelConfig(m=6, p=4, c=3, inception_layers=2, etas=[(4, 3), (3, 2)],
+                            adjacency_mode=adjacency_mode)
+    model = mm.build_lgrin(config)
+    batch = samples(config, 2 * mm.FORWARD_CHUNK + 5)
+    per_chunk = [mm.forward_shared(model, batch[i:i + mm.FORWARD_CHUNK])[1].values.tobytes()
+                 for i in range(0, len(batch), mm.FORWARD_CHUNK)]
+    calls = {"effective_adjacency": 0, "neighbor_mask": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(adjmod, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(adjmod, name, counted)
+    tr.evaluate(model, batch)
+    assert calls == {"effective_adjacency": graphs if adjacency_mode == "learnable" else 0,
+                     "neighbor_mask": graphs}
+    assert [lg.values.tobytes() for lg, _ in mm.forward_chunks(model, batch)] == per_chunk
 
 
 def test_relu_affine_matches_unfused_ops():
@@ -237,9 +262,12 @@ def test_routed_prefix_keeps_every_bit_of_a_three_layer_step(adjacency_mode, poo
     assert got == step()
 
 
-def gathering_forward(model, samples):
+def gathering_forward(model, samples, graph=None):
     """``model.forward_shared`` of an lgrin model as it was before spanning
-    layers: every max branch gathers every column of its input."""
+    layers, and before an inception layer's convolutions were one tape
+    node: every max branch gathers every column of its input, and the
+    branches are a ``propagate`` and four ``relu_affine`` nodes. ``graph``
+    is ignored: the graph is computed per call."""
     h = mm._stacked_features(model, samples)
     reg = model.registry
     a_eff = mm.shared_effective_adjacency(model)
@@ -247,9 +275,10 @@ def gathering_forward(model, samples):
     mask = adjmod.neighbor_mask(a, model.config.mask_threshold)
     for k in range(model.config.inception_layers):
         ah = ad.propagate(a, h)
-        h = ad.concat_features([
-            L.gstar_conv(ah, tuple(reg[key] for key in mm._branch_keys(k, b)))
-            for b in (1, 2)] + [ad.neighborhood_max(h, mask)])
+        branches = [[reg[key] for key in mm._branch_keys(k, b)] for b in (1, 2)]
+        h = ad.concat_features([ad.relu_affine(ad.relu_affine(ah, w1, b1), w2, b2)
+                                for w1, b1, w2, b2 in branches]
+                               + [ad.neighborhood_max(h, mask)])
     pooled = L.pooling_layer(h, reg.get("pooling.p"), model.config.pooling_mode)
     return a_eff, ad.relu_affine(pooled, reg["head.w"], reg["head.b"], relu=False), h
 

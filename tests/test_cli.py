@@ -793,6 +793,18 @@ ERROR_TABLE = [
     ("data-manifest-and-synth", "train --config {r}/run.json --override "
      'data.synth={{"num_classes":3,"per_class":2,"m":8,"p":4}} --override output_dir={r}/both',
      1, "data section needs exactly one of 'manifest' or 'synth'"),
+    # sizes whose byte count numpy rejects before allocating anything; train
+    # checks its data against the model before building it
+    ("train-m-oversized", "train --config {r}/run.json --override model.m=1000000000000 "
+     "--override output_dir={r}/huge", 2,
+     "dataset (8, 4) does not match model (1000000000000, 4)"),
+    ("gradcheck-m-oversized", "gradcheck --config {r}/run.json --override model.m=1000000000000",
+     1, "sizes too large for memory: array is too big"),
+    ("synth-p-oversized", "synth --classes 3 --per-class 2 --m 8 --p 1000000000000000000 "
+     "--out {r}/huge", 1, "sizes too large for memory: array is too big"),
+    ("train-synth-p-oversized", "train --config {r}/run.json --override "
+     'data={{"synth":{{"num_classes":3,"per_class":2,"m":8,"p":1000000000000000000}}}} '
+     "--override output_dir={r}/huge", 1, "sizes too large for memory: array is too big"),
 ]
 
 
@@ -829,6 +841,27 @@ class TestErrorTable:
                               capture_output=True, text=True)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.count("\n") == 1 and "config file not found" in proc.stderr
+
+
+class TestAllocationErrors:
+    def test_memory_error_is_one_line(self, bad_inputs, capsys, monkeypatch):
+        def unable(spec):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              "(1000000000000,) and data type float64")
+
+        monkeypatch.setattr(cli, "synth_generate", unable)
+        expect_one_line(capsys, bad_inputs, "synth --classes 3 --per-class 2 --m 8 --p 4 "
+                        f"--out {bad_inputs}/never".split(), 1,
+                        "sizes too large for memory: Unable to allocate 7.28 TiB")
+
+    def test_other_value_errors_still_raise(self, bad_inputs, monkeypatch):
+        def broken(spec):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "synth_generate", broken)
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            cli.main(f"synth --classes 3 --per-class 2 --m 8 --p 4 "
+                     f"--out {bad_inputs}/never".split())
 
 
 class TestBadInputs:

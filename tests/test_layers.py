@@ -29,26 +29,33 @@ def init_layer(f_in, etas, rng):
     return [L.init_branch(f_in, eta, rng) for eta in etas]
 
 
+def gstar_conv(a, h, mlp):
+    """ReLU(MLP(A @ H)) as an inception layer's first branch computes it:
+    that branch's columns of the layer's output."""
+    m = h.shape[0]
+    out = L.inception_layer(h, a, mlp, mlp, np.eye(m, dtype=bool))
+    return out.values[..., :mlp[0].shape[1]]
+
+
 class TestGstarConv:
     def test_zero_adjacency_zero_biases(self):
         rng = np.random.default_rng(0)
         mlp = L.init_branch(3, 4, rng)
         h = ad.constant(rng.normal(size=(5, 3)))
-        out = L.gstar_conv(ad.propagate(ad.constant(np.zeros((5, 5))), h), mlp)
-        npt.assert_array_equal(out.values, np.zeros((5, 4)))
+        out = gstar_conv(ad.constant(np.zeros((5, 5))), h, mlp)
+        npt.assert_array_equal(out, np.zeros((5, 4)))
 
     def test_identity_configuration_passthrough(self):
         rng = np.random.default_rng(1)
         h = np.abs(rng.normal(size=(4, 3)))
-        out = L.gstar_conv(ad.propagate(ad.constant(np.eye(4)), ad.constant(h)),
-                           identity_mlp(3))
-        npt.assert_array_equal(out.values, h)
+        out = gstar_conv(ad.constant(np.eye(4)), ad.constant(h), identity_mlp(3))
+        npt.assert_array_equal(out, h)
 
     def test_hand_swap_case(self):
         h = ad.constant([[1.0], [2.0]])
         a = ad.constant([[0.0, 1.0], [1.0, 0.0]])
-        out = L.gstar_conv(ad.propagate(a, h), identity_mlp(1))
-        npt.assert_array_equal(out.values, [[2.0], [1.0]])
+        out = gstar_conv(a, h, identity_mlp(1))
+        npt.assert_array_equal(out, [[2.0], [1.0]])
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(2)
@@ -56,13 +63,12 @@ class TestGstarConv:
             mlp = L.init_branch(4, 6, rng)
             h = ad.constant(rng.normal(size=(5, 4)))
             a = ad.constant(np.abs(rng.normal(size=(5, 5))))
-            assert L.gstar_conv(ad.propagate(a, h), mlp).values.min() >= 0.0
+            assert gstar_conv(a, h, mlp).min() >= 0.0
 
     def test_output_width_is_eta(self):
         rng = np.random.default_rng(3)
         mlp = L.init_branch(7, 11, rng)
-        out = L.gstar_conv(ad.propagate(ad.constant(np.zeros((4, 4))),
-                                        ad.constant(np.zeros((4, 7)))), mlp)
+        out = gstar_conv(ad.constant(np.zeros((4, 4))), ad.constant(np.zeros((4, 7))), mlp)
         assert out.shape == (4, 11)
 
 
